@@ -88,13 +88,11 @@ class ImageModel:
         machine = system.machine
         layout = system.layout
         read_word = machine.memory.read_flash_word
-        is_sfi = hasattr(system, "verifier")
+        policy = system.policy
         lo, hi = system.runtime.extent()
-        symbols = system.symbol_map() if hasattr(system, "symbol_map") \
-            else dict(system.runtime.symbols)
         runtime_entries = {}
+        from repro.core.system import KERNEL_EXPORTS
         from repro.sfi.runtime_asm import RUNTIME_ENTRIES
-        from repro.sfi.system import KERNEL_EXPORTS
         entry_names = set(RUNTIME_ENTRIES)
         entry_names.update(stub for _n, stub in KERNEL_EXPORTS)
         entry_names.update(("hb_init", "hb_fault_r20", "hb_dispatch"))
@@ -106,10 +104,10 @@ class ImageModel:
             name="runtime", domain=None, start=lo * 2, end=(hi + 1) * 2,
             policy="trusted", entries=runtime_entries)
         model = cls(read_word, layout, system.jump_table, runtime,
-                    symbols=symbols,
-                    allowed_io=getattr(getattr(system, "verifier", None),
-                                       "allowed_io", ()),
-                    mode="sfi" if is_sfi else "umpu")
+                    symbols=system.symbol_map(),
+                    allowed_io=system.verifier.allowed_io
+                    if policy == "sfi" else (),
+                    mode=policy)
         for module in system.modules.values():
             entries = {}
             for export, entry_addr in module.exports.items():
@@ -119,9 +117,7 @@ class ImageModel:
             model.modules.append(ModuleRegion(
                 name=module.name, domain=module.domain,
                 start=module.start, end=module.end,
-                policy="sfi" if is_sfi else "umpu", entries=entries,
-                data_spans=tuple(getattr(module, "data_spans", ()) or ()),
-                manifest=getattr(module, "manifest", None)))
+                policy=policy, entries=entries, manifest=module.manifest))
         model.modules.extend(extra_modules)
         return model
 

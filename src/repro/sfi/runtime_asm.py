@@ -821,7 +821,10 @@ hb_change_own_svc:             ; r24:25 = ptr, r22 = new owner
 """
 
 
-def _init(layout):
+def _heap_init(layout):
+    """The tail of ``hb_init`` both libraries share (the UMPU one
+    imports it): memory map all free, heap free list, safe stack marked
+    trusted, static data spans pinned to their domains, ``ret``."""
     table_bytes = layout.memmap_config.table_bytes
     # the free list only ever covers the *dynamic* heap; pinned static
     # data spans above HB_HEAP_DYN_END are never on it
@@ -840,22 +843,6 @@ def _init(layout):
     call hb_mmap_mark""")
     pin_static = "".join(pin_spans)
     return f"""
-; -------------------------------------------------------------- hb_init
-; Boot-time initialization by the trusted domain: protection state,
-; memory map all-free, heap free list = one node spanning the heap.
-hb_init:
-    ldi r24, HB_TRUSTED
-    sts HB_CUR_DOM, r24
-    ldi r24, lo8(RAMEND)
-    sts HB_SB_LO, r24
-    ldi r24, hi8(RAMEND)
-    sts HB_SB_HI, r24
-    ldi r24, lo8(HB_SS_BASE)
-    sts HB_SS_LO, r24
-    ldi r24, hi8(HB_SS_BASE)
-    sts HB_SS_HI, r24
-    ldi r24, 0
-    sts HB_FAULT_CODE, r24
     ; memory map: all free (0xFF)
     ldi r26, lo8(HB_MMAP_TABLE)
     ldi r27, hi8(HB_MMAP_TABLE)
@@ -890,6 +877,26 @@ hi_mm_loop:
     call hb_mmap_mark{pin_static}
     ret
 """
+
+
+def _init(layout):
+    return """
+; -------------------------------------------------------------- hb_init
+; Boot-time initialization by the trusted domain: protection state,
+; memory map all-free, heap free list = one node spanning the heap.
+hb_init:
+    ldi r24, HB_TRUSTED
+    sts HB_CUR_DOM, r24
+    ldi r24, lo8(RAMEND)
+    sts HB_SB_LO, r24
+    ldi r24, hi8(RAMEND)
+    sts HB_SB_HI, r24
+    ldi r24, lo8(HB_SS_BASE)
+    sts HB_SS_LO, r24
+    ldi r24, hi8(HB_SS_BASE)
+    sts HB_SS_HI, r24
+    ldi r24, 0
+    sts HB_FAULT_CODE, r24""" + _heap_init(layout)
 
 
 def runtime_source(layout=None):

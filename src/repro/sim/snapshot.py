@@ -65,7 +65,7 @@ class MachineSnapshot:
     def capture_system(cls, system):
         """Capture a system harness (machine + loader/linker state).
 
-        Works for any harness with the shared loader shape
+        Works for any :class:`~repro.core.system.ProtectedSystem`
         (``modules`` / ``_next_load`` / ``_next_domain`` /
         ``_free_domains`` and a :class:`~repro.sos.linker.
         CrossDomainLinker`): both :class:`~repro.sfi.system.SfiSystem`

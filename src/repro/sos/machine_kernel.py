@@ -27,7 +27,7 @@ from repro.sos.messaging import KERNEL_PID, Message, MessageQueue
 @dataclass
 class MachineModuleRecord:
     name: str
-    module: object          # LoadedModule / UmpuModule
+    module: object          # repro.core.system.LoadedModule
     handler: str
     state: str = "loaded"
     messages_handled: int = 0

@@ -30,7 +30,7 @@ from repro.umpu.mmc import MMC_STALL_CYCLES, MemMapController
 from repro.umpu.registers import UmpuRegisters
 from repro.umpu.runtime import build_umpu_runtime, umpu_runtime_source
 from repro.umpu.safe_stack_unit import SafeStackUnit
-from repro.umpu.system import UmpuModule, UmpuSystem
+from repro.umpu.system import UmpuSystem
 
 __all__ = [
     "GateCountRow",
@@ -56,6 +56,5 @@ __all__ = [
     "SafeStackUnit",
     "build_umpu_runtime",
     "umpu_runtime_source",
-    "UmpuModule",
     "UmpuSystem",
 ]

@@ -32,6 +32,7 @@ from repro.sfi.layout import SfiLayout
 from repro.sfi.runtime_asm import (
     _allocator,
     _fault_handlers,
+    _heap_init,
     _memmap_mark,
     _owner_check,
     _services,
@@ -68,49 +69,17 @@ hb_dispatch:
 
 
 def _init(layout):
-    table_bytes = layout.memmap_config.table_bytes
-    heap_bytes = layout.heap_end - layout.heap_start
-    return f"""
+    return """
 ; -------------------------------------------------------------- hb_init
 ; Library-side boot on UMPU: the protection registers were programmed by
 ; the trusted boot code; here we build the memory map (all free), the
-; heap free list, and mark the safe-stack region as a trusted segment.
+; heap free list, mark the safe-stack region as a trusted segment and
+; pin the static data spans (the same tail as the SFI runtime's).
 hb_init:
     ldi r24, 0
     sts HB_FAULT_CODE, r24
     ldi r24, HB_TRUSTED        ; library attribution cell (SRAM shadow)
-    sts HB_CUR_DOM, r24
-    ldi r26, lo8(HB_MMAP_TABLE)
-    ldi r27, hi8(HB_MMAP_TABLE)
-    ldi r18, 0xFF
-    ldi r20, lo8({table_bytes})
-    ldi r21, hi8({table_bytes})
-hi_mm_loop:
-    st X+, r18
-    subi r20, 1
-    sbci r21, 0
-    brne hi_mm_loop
-    ldi r26, lo8(HB_HEAP_START)
-    ldi r27, hi8(HB_HEAP_START)
-    ldi r18, lo8({heap_bytes})
-    st X+, r18
-    ldi r18, hi8({heap_bytes})
-    st X+, r18
-    st X+, r1
-    st X+, r1
-    ldi r24, lo8(HB_HEAP_START)
-    sts HB_FREE_LO, r24
-    ldi r24, hi8(HB_HEAP_START)
-    sts HB_FREE_HI, r24
-    ldi r26, lo8(HB_SS_BASE)
-    ldi r27, hi8(HB_SS_BASE)
-    ldi r20, lo8(HB_SS_LIMIT - HB_SS_BASE)
-    ldi r21, hi8(HB_SS_LIMIT - HB_SS_BASE)
-    ldi r18, 0x0F
-    ldi r19, 0x0E
-    call hb_mmap_mark
-    ret
-"""
+    sts HB_CUR_DOM, r24""" + _heap_init(layout)
 
 
 def umpu_runtime_source(layout=None):

@@ -481,12 +481,7 @@ def test_image_analyzer_surfaces_concurrency():
     prog = Assembler(symbols=system.kernel_symbols()).assemble(src,
                                                                "irqmod")
     lo, hi = prog.extent()
-    base = system._next_load
-    mem = system.machine.memory
-    for word_addr, value in prog.words.items():
-        mem.write_flash_word(base // 2 + word_addr - lo, value)
-    system.machine.core.invalidate_decode_cache()
-    end = base + (hi - lo + 1) * 2
+    base, end = system.place_image(prog)
     entries = {n: base + a - lo * 2 for n, a in prog.symbols.items()
                if n not in set(default_symbols())
                and lo * 2 <= a <= hi * 2 + 1}

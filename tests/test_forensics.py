@@ -232,25 +232,35 @@ def test_sfi_software_fault_report_end_to_end():
     assert report.call_stack
 
 
-@pytest.mark.parametrize("numeric,expected", [
+LIBRARY_FAULTS = (
     (FAULT_MEMMAP, MemMapFault),
     (FAULT_STACK_BOUND, StackBoundFault),
     (FAULT_OUTSIDE, UntrustedAccessFault),
     (FAULT_JT, JumpTableFault),
     (FAULT_SS_OVERFLOW, SafeStackOverflow),
     (FAULT_OWNERSHIP, OwnershipFault),
+)
+
+
+@pytest.mark.parametrize("system_cls,numeric,expected", [
+    pytest.param(system_cls, numeric, expected, id="{}{}-{}".format(
+        prefix, numeric, expected.__name__))
+    for system_cls, prefix in ((UmpuSystem, ""), (SfiSystem, "sfi-"))
+    for numeric, expected in LIBRARY_FAULTS
 ])
-def test_library_fault_code_round_trips_typed(numeric, expected):
+def test_library_fault_code_round_trips_typed(system_cls, numeric,
+                                              expected):
     """The on-node numeric codes map back to the same typed exceptions
-    the hardware units raise — no anonymous ProtectionFaults."""
-    system = UmpuSystem()
+    the hardware units raise — no anonymous ProtectionFaults — through
+    the one decoder both systems share."""
+    system = system_cls()
     mem = system.machine.memory
     layout = system.layout
     mem.write_data(layout.fault_code, numeric)
     mem.write_data(layout.fault_addr, 0x08)
     mem.write_data(layout.fault_addr + 1, 0x04)  # addr = 0x0408
     with pytest.raises(expected) as excinfo:
-        system._checked(0)
+        system._check_fault()
     fault = excinfo.value
     assert type(fault) is expected
     assert fault.code == FAULT_NAMES[numeric]
@@ -258,12 +268,13 @@ def test_library_fault_code_round_trips_typed(numeric, expected):
 
 
 def test_unknown_library_fault_code_is_flagged():
-    system = UmpuSystem()
-    mem = system.machine.memory
-    mem.write_data(system.layout.fault_code, 99)
-    with pytest.raises(ProtectionFault) as excinfo:
-        system._checked(0)
-    assert "unknown library fault code 99" in str(excinfo.value)
+    for system in (UmpuSystem(), SfiSystem()):
+        mem = system.machine.memory
+        mem.write_data(system.layout.fault_code, 99)
+        with pytest.raises(ProtectionFault) as excinfo:
+            system._check_fault()
+        assert type(excinfo.value) is ProtectionFault
+        assert "unknown library fault code 99" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------

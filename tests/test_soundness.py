@@ -210,16 +210,12 @@ def test_oracle_flags_unverified_module_store():
                     "    ldi r18, 5\n"
                     "    sts 0x{:04x}, r18\n"
                     "    ret\n".format(system.layout.scratch))
-    start = system._next_load
-    for word, value in evil.words.items():
-        system.machine.memory.write_flash_word(start // 2 + word, value)
-    system.machine.core.invalidate_decode_cache()
+    start, end = system.place_image(evil)
     entry = system.linker.export(0, "main", start)
     system._flush_jump_table()
     system.modules["evil"] = LoadedModule(
-        name="evil", domain=0, start=start,
-        end=start + evil.size_bytes, exports={"main": entry},
-        rewrite_stats={}, verify_report=None)
+        name="evil", domain=0, start=start, end=end,
+        exports={"main": entry})
     system.call_export("evil", "main")
     assert oracle.escapes, "planted raw store must be flagged"
     record = oracle.escapes[0]

@@ -79,16 +79,10 @@ def place_raw(system, source, name="raw", domain=0, symbols=None):
     else:
         prog = assemble(source, name)
     lo, hi = prog.extent()
-    base = system._next_load
-    mem = system.machine.memory
-    for word_addr, value in prog.words.items():
-        mem.write_flash_word(base // 2 + word_addr - lo, value)
-    system.machine.core.invalidate_decode_cache()
-    end = base + (hi - lo + 1) * 2
+    base, end = system.place_image(prog)
     predefined = set(default_symbols())
     entries = {n: base + a - lo * 2 for n, a in prog.symbols.items()
                if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-    system._next_load = (end + 0xFF) & ~0xFF
     return ModuleRegion(name=name, domain=domain, start=base, end=end,
                         policy="sfi", entries=entries), prog
 

@@ -64,7 +64,8 @@ def _block_wide(rng, lines):
 
 
 def _block_memory(rng, lines):
-    base = SCRATCH + rng.randrange(0, 0x80)
+    # at least 3 bytes in: up to 3 pre-decrementing stores follow
+    base = SCRATCH + rng.randrange(3, 0x80)
     ptr, lo_reg, hi_reg = rng.choice(
         [("x", 26, 27), ("y", 28, 29), ("z", 30, 31)])
     lines.append("    ldi r{}, {}".format(lo_reg, base & 0xFF))

@@ -162,16 +162,11 @@ def test_raw_placement_fails_certification():
     checks."""
     system = SfiSystem()
     program = _assemble(system, "examples/modules/miscompiled.s")
-    lo, hi = program.extent()
-    base = system._next_load
-    for word_addr, value in program.words.items():
-        system.machine.memory.write_flash_word(
-            base // 2 + word_addr - lo, value)
-    system.machine.core.invalidate_decode_cache()
+    base, end = system.place_image(program)
     engine = DiagnosticsEngine()
     report = validate_translation(
         program, system.machine.memory.read_flash_word,
-        base, base + (hi - lo + 1) * 2, system.layout,
+        base, end, system.layout,
         system.runtime.symbols, exports=_exports(program),
         engine=engine, region="miscompiled", module="miscompiled")
     assert not report.ok
