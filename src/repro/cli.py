@@ -53,16 +53,28 @@ Installed as console scripts (see ``pyproject.toml``):
   installed block for the planned block JIT (``HL018`` notes);
   ``--report`` writes the JIT-readiness JSON; see the "Translation
   validation" section of ``docs/static-analysis.md``.
+* ``harbor-race MODULE[:ENTRIES] [...]`` — interrupt-aware static race
+  detector and latency certifier: HL019/HL020 races with two-site
+  witnesses and a per-ISR WCET / interrupt-latency bound (HL021);
+  ``--latency-report`` writes the bound certificate; see the
+  "Concurrency analysis" section of ``docs/static-analysis.md``.
+
+The tools share one driver: ``_load_module`` reads ``MODULE[:NAMES]``
+specs, ``_static_layout`` builds ``--static-data`` layouts,
+``_emit_report`` writes diagnostics and applies ``--fail-on``,
+``_execute`` runs programs and ``_input_errors`` turns bad input into
+one ``error:`` line (exit 2 for lint/opt/certify/race, else exit 1).
 
 The image format is deliberately trivial: one ``ADDR: WORD`` hex pair
 per line (word addresses), so images are diffable and editable.
 """
 
 import argparse
+import functools
+import json
 import sys
 
-from repro.asm import AsmError, Assembler, assemble, listing
-from repro.asm.disassembler import disassemble
+from repro.asm import AsmError, assemble, default_symbols, listing
 from repro.asm.program import Program
 from repro.core.faults import ProtectionFault
 from repro.sfi.layout import SfiLayout
@@ -74,6 +86,29 @@ from repro.sim import Machine
 from repro.umpu import HarborLayout, UmpuMachine
 
 
+class InputError(Exception):
+    """Bad command-line input that is not an assembler error: an
+    unknown label, a malformed flag value or an impossible layout."""
+
+
+def _input_errors(status):
+    """Decorate a tool so bad input prints one ``error:`` line and
+    exits *status*; a module the loader rejects exits 1."""
+    def decorate(tool):
+        @functools.wraps(tool)
+        def run(argv=None):
+            try:
+                return tool(argv)
+            except (AsmError, OSError, InputError) as exc:
+                message, code = exc, status
+            except (RewriteError, VerifyError) as exc:
+                message, code = exc, 1
+            print("error: {}".format(message), file=sys.stderr)
+            return code
+        return run
+    return decorate
+
+
 def _read_source(path):
     with open(path) as handle:
         return handle.read()
@@ -82,12 +117,16 @@ def _read_source(path):
 def _load_image(path):
     program = Program(source_name=path)
     with open(path) as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             addr, _, word = line.partition(":")
-            program.set_word(int(addr, 16), int(word, 16))
+            try:
+                program.set_word(int(addr, 16), int(word, 16))
+            except ValueError:
+                raise AsmError("malformed image line {!r}".format(line),
+                               line_no, path) from None
     return program
 
 
@@ -97,13 +136,99 @@ def _dump_image(program, out):
                                             program.words[word_addr]))
 
 
-def _assemble_arg(path):
+def _read_program(path, symbols=None):
+    """Load a ``.hex`` image or assemble a source against *symbols*."""
     if path.endswith(".hex"):
         return _load_image(path)
-    return assemble(_read_source(path), name=path)
+    return assemble(_read_source(path), name=path, symbols=symbols)
+
+
+def _load_module(spec, symbols):
+    """Read a ``MODULE[:NAMES]`` spec into ``(name, program, lo, labels,
+    names)``: *labels* maps the module's own labels (not *symbols* or
+    the default ones, and inside its extent) to byte addresses, *lo* is
+    the first word and *names* the listed labels (empty: none given)."""
+    path, _, names_text = spec.partition(":")
+    program = _read_program(path, symbols)
+    lo, hi = program.extent()
+    predefined = set(default_symbols()) | set(symbols)
+    labels = {n: a for n, a in program.symbols.items()
+              if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
+    names = tuple(n for n in names_text.split(",") if n)
+    for label in names:
+        if label not in labels:
+            raise InputError("unknown entry label {!r}".format(label))
+    name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return name, program, lo, labels, names
+
+
+def _static_layout(args, domains=None):
+    """The ``SfiLayout`` for ``--static-data``: a pinned span for each
+    of *domains* (default: one per module) when the size is non-zero."""
+    if domains is None:
+        domains = min(len(args.modules), SfiLayout().ndomains - 1)
+    try:
+        return SfiLayout(static_data_bytes=args.static_data,
+                         static_data_domains=domains
+                         if args.static_data else 0)
+    except ValueError as exc:
+        raise InputError(exc) from None
+
+
+def _add_allow_io(parser):
+    parser.add_argument("--allow-io", action="append", default=[],
+                        type=lambda v: int(v, 0),
+                        help="whitelisted I/O address (repeatable)")
+
+
+def _add_static_data(parser, default):
+    parser.add_argument("--static-data", type=lambda v: int(v, 0),
+                        default=default, metavar="BYTES",
+                        help="per-domain static data span size, so "
+                             "modules referencing SDATA_D* symbols "
+                             "assemble (multiple of 256; 0 disables; "
+                             "default {})".format(default))
+
+
+def _add_fail_on(parser):
+    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
+                        default="error",
+                        help="exit 1 when a finding at or above this "
+                             "severity exists (default: error)")
+
+
+def _add_report_args(parser):
+    parser.add_argument("--format", choices=("text", "json", "sarif"),
+                        default="text", help="report format")
+    parser.add_argument("-o", "--output", default=None,
+                        help="write the report here (in --format)")
+    _add_fail_on(parser)
+
+
+def _emit_report(args, engine, analysis, tail="", name=None):
+    """Print the diagnostics in ``--format`` (text: the findings plus
+    *tail*; json/sarif: the document with *analysis*), copy them to
+    ``-o`` (noted as ``; NAME report -> PATH`` when *name* is given)
+    and return the ``--fail-on`` exit status."""
+    if args.format == "text":
+        text = engine.render_text() + tail
+    else:
+        doc = engine.to_sarif() if args.format == "sarif" \
+            else engine.to_dict(analysis=analysis)
+        text = json.dumps(doc, indent=1, sort_keys=True)
+    print(text)
+    if args.output:
+        with open(args.output, "w") as handle:
+            # text reports end in a newline, JSON documents do not
+            handle.write(text + "\n" if args.format == "text" else text)
+        if name:
+            print("; {} report -> {}".format(name, args.output),
+                  file=sys.stderr)
+    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
 
 
 # ---------------------------------------------------------------------
+@_input_errors(1)
 def cmd_asm(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-asm", description="assemble AVR source")
@@ -112,11 +237,7 @@ def cmd_asm(argv=None):
     parser.add_argument("--listing", action="store_true",
                         help="print a disassembly listing")
     args = parser.parse_args(argv)
-    try:
-        program = assemble(_read_source(args.source), name=args.source)
-    except AsmError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+    program = assemble(_read_source(args.source), name=args.source)
     if args.output:
         with open(args.output, "w") as out:
             _dump_image(program, out)
@@ -127,16 +248,17 @@ def cmd_asm(argv=None):
     return 0
 
 
+@_input_errors(1)
 def cmd_disasm(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-disasm", description="disassemble a flash image")
     parser.add_argument("image", help=".hex image or .s source")
     args = parser.parse_args(argv)
-    program = _assemble_arg(args.image)
-    print(listing(program))
+    print(listing(_read_program(args.image)))
     return 0
 
 
+@_input_errors(1)
 def cmd_rewrite(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-rewrite",
@@ -155,7 +277,7 @@ def cmd_rewrite(argv=None):
     runtime = build_runtime(layout)
     rewriter_cls = InlineRewriter if args.inline else Rewriter
     rewriter = rewriter_cls(runtime.symbols, layout)
-    module = _assemble_arg(args.source)
+    module = _read_program(args.source)
     origin = args.origin if args.origin is not None else layout.jt_end
     try:
         result = rewriter.rewrite(module, origin, exports=args.export)
@@ -178,14 +300,13 @@ def cmd_rewrite(argv=None):
     return 0
 
 
+@_input_errors(1)
 def cmd_verify(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-verify",
         description="run the on-node verifier over a module image")
     parser.add_argument("image", help=".hex image or .s source")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
+    _add_allow_io(parser)
     parser.add_argument("--inline", action="store_true",
                         help="use the template verifier (accepts "
                              "inline-checked binaries)")
@@ -195,7 +316,7 @@ def cmd_verify(argv=None):
     verifier_cls = TemplateVerifier if args.inline else Verifier
     verifier = verifier_cls(runtime.symbols, layout,
                             allowed_io=tuple(args.allow_io))
-    program = _assemble_arg(args.image)
+    program = _read_program(args.image)
     lo, hi = program.extent()
     try:
         report = verifier.verify(program, lo * 2, (hi + 1) * 2)
@@ -221,7 +342,9 @@ def _add_run_arguments(parser):
 
 
 def _build_machine(args):
-    program = _assemble_arg(args.source)
+    program = _read_program(args.source)
+    if args.entry and args.entry not in program.symbols:
+        raise InputError("unknown entry label {!r}".format(args.entry))
     if args.umpu:
         machine = UmpuMachine(program, layout=HarborLayout())
         if args.domain is not None:
@@ -243,6 +366,15 @@ def _execute(machine, args):
     return cycles, None
 
 
+def _fault_status(fault):
+    """Exit status of a run: 2 (and the fault on stderr) if it faulted."""
+    if fault is None:
+        return 0
+    print("protection fault: {}".format(fault), file=sys.stderr)
+    return 2
+
+
+@_input_errors(1)
 def cmd_run(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-run", description="run a program on the simulator")
@@ -251,13 +383,9 @@ def cmd_run(argv=None):
                         help="ADDR[:LEN] memory ranges to print after")
     args = parser.parse_args(argv)
     machine = _build_machine(args)
-    try:
-        if args.entry:
-            cycles = machine.call(args.entry, max_cycles=args.max_cycles)
-        else:
-            cycles = machine.run(max_cycles=args.max_cycles)
-    except ProtectionFault as exc:
-        print("protection fault: {}".format(exc))
+    cycles, fault = _execute(machine, args)
+    if fault is not None:
+        print("protection fault: {}".format(fault))
         return 2
     print("halted after {} cycles; r24:25 = 0x{:04x}".format(
         cycles, machine.result16()))
@@ -272,6 +400,7 @@ def cmd_run(argv=None):
 
 
 # ---------------------------------------------------------------------
+@_input_errors(1)
 def cmd_trace(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-trace",
@@ -302,12 +431,10 @@ def cmd_trace(argv=None):
     print("; {} cycles, {} events ({} dropped) -> {}".format(
         cycles, sink.emitted, sink.dropped, args.output),
         file=sys.stderr)
-    if fault is not None:
-        print("protection fault: {}".format(fault), file=sys.stderr)
-        return 2
-    return 0
+    return _fault_status(fault)
 
 
+@_input_errors(1)
 def cmd_profile(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-profile",
@@ -358,12 +485,10 @@ def cmd_profile(argv=None):
         write_chrome_trace(args.chrome, sink)
         print("; chrome trace -> {}".format(args.chrome),
               file=sys.stderr)
-    if fault is not None:
-        print("protection fault: {}".format(fault), file=sys.stderr)
-        return 2
-    return 0
+    return _fault_status(fault)
 
 
+@_input_errors(1)
 def cmd_replay(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-replay",
@@ -452,6 +577,7 @@ def cmd_replay(argv=None):
     return status
 
 
+@_input_errors(1)
 def cmd_explain_fault(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-explain-fault",
@@ -489,6 +615,7 @@ def cmd_explain_fault(argv=None):
     return 2
 
 
+@_input_errors(1)
 def cmd_metrics(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-metrics",
@@ -500,15 +627,13 @@ def cmd_metrics(argv=None):
     parser.add_argument("-o", "--output", default=None, metavar="OUT.json",
                         help="also write the JSON export here")
     args = parser.parse_args(argv)
-    import json as json_mod
-
     from repro.trace import write_metrics
     machine = _build_machine(args)
     registry = machine.attach_metrics()
     cycles, fault = _execute(machine, args)
     registry.sample(machine)
     if args.json:
-        print(json_mod.dumps(registry.to_dict(), indent=1, sort_keys=True))
+        print(json.dumps(registry.to_dict(), indent=1, sort_keys=True))
     else:
         print(registry.render())
     if args.output:
@@ -516,12 +641,10 @@ def cmd_metrics(argv=None):
         print("; metrics -> {}".format(args.output), file=sys.stderr)
     print("; {} cycles, {} metrics".format(cycles, len(registry)),
           file=sys.stderr)
-    if fault is not None:
-        print("protection fault: {}".format(fault), file=sys.stderr)
-        return 2
-    return 0
+    return _fault_status(fault)
 
 
+@_input_errors(2)
 def cmd_lint(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-lint",
@@ -542,19 +665,10 @@ def cmd_lint(argv=None):
                              "verifier pipeline — lint miscompiled or "
                              "hand-written binaries the loader would "
                              "reject")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the report here (in --format)")
+    _add_allow_io(parser)
+    _add_report_args(parser)
     parser.add_argument("--no-dead-code", action="store_true",
                         help="skip the dead/unreachable-block analysis")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when a finding at or above this "
-                             "severity exists (default: error)")
     parser.add_argument("--select", action="append", default=[],
                         metavar="RULES",
                         help="only report these rules (comma-separated "
@@ -582,14 +696,8 @@ def cmd_lint(argv=None):
                              "with --baseline FILE gates on new "
                              "findings only)")
     args = parser.parse_args(argv)
-    import json as json_mod
 
-    from repro.analysis.static import (
-        ModuleRegion,
-        lint_system,
-        write_report,
-    )
-    from repro.asm.assembler import default_symbols
+    from repro.analysis.static import ModuleRegion, lint_system
     from repro.sfi.system import SfiSystem
     from repro.umpu.system import UmpuSystem
 
@@ -601,54 +709,33 @@ def cmd_lint(argv=None):
             data_spans.setdefault(name, []).append(
                 (int(lo_text, 0), int(hi_text, 0)))
     except ValueError as exc:
-        print("error: bad --data-span: {}".format(exc), file=sys.stderr)
-        return 2
+        raise InputError("bad --data-span: {}".format(exc)) from None
     try:
         selected = _parse_rule_filter(args.select)
         ignored = _parse_rule_filter(args.ignore)
     except KeyError as exc:
-        print("error: {}".format(exc.args[0]), file=sys.stderr)
-        return 2
+        raise InputError(exc.args[0]) from None
 
     if args.umpu:
         system = UmpuSystem()
     else:
         system = SfiSystem(allowed_io=tuple(args.allow_io))
-    predefined = set(default_symbols())
     extra_regions = []
-    try:
-        for index, spec in enumerate(args.modules):
-            path, _, exports_text = spec.partition(":")
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                asm = Assembler(symbols=system.kernel_symbols())
-                program = asm.assemble(_read_source(path), name=path)
-            lo, hi = program.extent()
-            labels = {n: a for n, a in program.symbols.items()
-                      if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-            exports = tuple(e for e in exports_text.split(",") if e) \
-                or tuple(sorted(labels))
-            name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            if args.unchecked:
-                base, end = system.place_image(program)
-                entries = {e: base + labels[e] - lo * 2
-                           for e in exports if e in labels}
-                extra_regions.append(ModuleRegion(
-                    name=name, domain=index, start=base, end=end,
-                    policy="umpu" if args.umpu else "sfi",
-                    entries=entries,
-                    data_spans=tuple(
-                        (base + lo_off, base + hi_off)
-                        for lo_off, hi_off in data_spans.get(name, ()))))
-            else:
-                system.load_module(program, name, exports=exports)
-    except (AsmError, OSError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except (RewriteError, VerifyError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+    for index, spec in enumerate(args.modules):
+        name, program, lo, labels, exports = _load_module(
+            spec, system.kernel_symbols())
+        exports = exports or tuple(sorted(labels))
+        if args.unchecked:
+            base, end = system.place_image(program)
+            extra_regions.append(ModuleRegion(
+                name=name, domain=index, start=base, end=end,
+                policy=system.policy,
+                entries={e: base + labels[e] - lo * 2 for e in exports},
+                data_spans=tuple(
+                    (base + lo_off, base + hi_off)
+                    for lo_off, hi_off in data_spans.get(name, ()))))
+        else:
+            system.load_module(program, name, exports=exports)
     model, report = lint_system(system,
                                 dead_code=not args.no_dead_code,
                                 extra_modules=extra_regions)
@@ -666,9 +753,8 @@ def cmd_lint(argv=None):
         try:
             suppressions = load_baseline(args.baseline)
         except (OSError, ValueError, KeyError) as exc:
-            print("error: bad baseline {}: {}".format(args.baseline, exc),
-                  file=sys.stderr)
-            return 2
+            raise InputError("bad baseline {}: {}".format(
+                args.baseline, exc)) from None
         suppressed = apply_baseline(engine, suppressions)
         if suppressed:
             print("; {} finding(s) suppressed by baseline {}".format(
@@ -678,28 +764,11 @@ def cmd_lint(argv=None):
         write_baseline(args.write_baseline, engine)
         print("; baseline ({} finding(s)) -> {}".format(
             len(engine), args.write_baseline), file=sys.stderr)
-    analysis = report.analysis_dict()
-    if args.format == "text":
-        text = engine.render_text()
-        tail = report.render_analysis()
-        if tail:
-            text += "\n\n" + tail
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-    else:
-        if args.output:
-            write_report(args.output, engine, fmt=args.format,
-                         analysis=analysis)
-        doc = engine.to_sarif() if args.format == "sarif" \
-            else engine.to_dict(analysis=analysis)
-        print(json_mod.dumps(doc, indent=1, sort_keys=True))
-    if args.output:
-        print("; lint report -> {}".format(args.output), file=sys.stderr)
-    if args.write_baseline:
-        return 0        # baselining acknowledges the current findings
-    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
+    tail = report.render_analysis()
+    status = _emit_report(args, engine, report.analysis_dict(),
+                          "\n\n" + tail if tail else "", name="lint")
+    # baselining acknowledges the current findings
+    return 0 if args.write_baseline else status
 
 
 def _parse_rule_filter(specs):
@@ -717,7 +786,7 @@ def _parse_rule_filter(specs):
 
 
 def _findings_at_or_above(engine, threshold):
-    """Count findings at or above *threshold* severity (harbor-lint's
+    """Count findings at or above *threshold* severity (the
     ``--fail-on`` gate; severities order most-severe-first)."""
     from repro.analysis.static.diagnostics import SEVERITIES
     rank = SEVERITIES.index(threshold)
@@ -725,6 +794,7 @@ def _findings_at_or_above(engine, threshold):
                if SEVERITIES.index(d.severity) <= rank)
 
 
+@_input_errors(2)
 def cmd_race(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-race",
@@ -751,24 +821,12 @@ def cmd_race(argv=None):
                         default=None, metavar="CYCLES",
                         help="emit HL021 when the static interrupt-"
                              "latency bound exceeds this many cycles")
-    parser.add_argument("--static-data", type=lambda v: int(v, 0),
-                        default=0, metavar="BYTES",
-                        help="per-domain static data span size, so "
-                             "modules referencing SDATA_D* symbols "
-                             "assemble (multiple of 256; default 0)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the report here (in --format)")
+    _add_static_data(parser, 0)
+    _add_report_args(parser)
     parser.add_argument("--latency-report", default=None, metavar="FILE",
                         help="write the per-ISR WCET / latency-bound "
                              "certificate here as JSON")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when a finding at or above this "
-                             "severity exists (default: error)")
     args = parser.parse_args(argv)
-    import json as json_mod
 
     from repro.analysis.static.cfg import RegionCFG
     from repro.analysis.static.concurrency import (
@@ -776,44 +834,18 @@ def cmd_race(argv=None):
         IsrInfo,
         find_isr_labels,
     )
-    from repro.analysis.static.diagnostics import (
-        DiagnosticsEngine,
-        write_report,
-    )
-    from repro.asm.assembler import default_symbols
-    from repro.sfi.layout import SfiLayout
+    from repro.analysis.static.diagnostics import DiagnosticsEngine
     from repro.sfi.system import SfiSystem
 
     engine = DiagnosticsEngine()
     reports = []
     # kernel symbols so lintable modules (KERNEL_* service calls,
     # SDATA_D* spans) assemble standalone; the analysis needs no system
-    try:
-        layout = SfiLayout(static_data_bytes=args.static_data,
-                           static_data_domains=min(
-                               len(args.modules),
-                               SfiLayout().ndomains - 1)
-                           if args.static_data else 0)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    kernel_symbols = SfiSystem(layout=layout).kernel_symbols()
-    predefined = set(default_symbols()) | set(kernel_symbols)
+    kernel_symbols = SfiSystem(layout=_static_layout(args)).kernel_symbols()
     for spec in args.modules:
-        path, _, entries_text = spec.partition(":")
-        try:
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                program = Assembler(symbols=kernel_symbols).assemble(
-                    _read_source(path), name=path)
-        except (AsmError, OSError) as exc:
-            print("error: {}".format(exc), file=sys.stderr)
-            return 2
-        name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        lo, hi = program.extent()
-        labels = {n: a for n, a in program.symbols.items()
-                  if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
+        name, program, lo, labels, entries = _load_module(spec,
+                                                          kernel_symbols)
+        hi = program.extent()[1]
         words = dict(program.words)
 
         def read_word(word_addr, _words=words):
@@ -827,22 +859,15 @@ def cmd_race(argv=None):
                 line = int(line_text, 0)
                 entry = labels[label]
             except (ValueError, KeyError):
-                print("error: bad --isr {!r} (want LINE:LABEL with a "
-                      "label of the module)".format(isr_spec),
-                      file=sys.stderr)
-                return 2
+                raise InputError(
+                    "bad --isr {!r} (want LINE:LABEL with a label of the "
+                    "module)".format(isr_spec)) from None
             isrs = [i for i in isrs if i.entry != entry and
                     i.line != line]
             isrs.append(IsrInfo(line, entry, label))
             taken.add(entry)
-        entries = tuple(e for e in entries_text.split(",") if e)
-        try:
-            mainline = {labels[e] for e in entries} if entries \
-                else set(labels.values()) - taken
-        except KeyError as exc:
-            print("error: unknown entry label {}".format(exc),
-                  file=sys.stderr)
-            return 2
+        mainline = {labels[e] for e in entries} if entries \
+            else set(labels.values()) - taken
         cfg = RegionCFG.build(read_word, lo * 2, (hi + 1) * 2, name=name,
                               extra_leaders=sorted(labels.values()))
         analysis = ConcurrencyAnalysis(
@@ -851,38 +876,24 @@ def cmd_race(argv=None):
         reports.append(analysis.run(engine=engine,
                                     budget=args.latency_budget))
 
-    analysis_doc = {"concurrency": {rep.region: rep.to_dict()
-                                    for rep in reports}}
-    if args.format == "text":
-        text = engine.render_text()
-        tail = "\n".join(rep.render() for rep in reports)
-        if tail:
-            text += "\n\n" + tail
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-    else:
-        if args.output:
-            write_report(args.output, engine, fmt=args.format,
-                         analysis=analysis_doc)
-        doc = engine.to_sarif() if args.format == "sarif" \
-            else engine.to_dict(analysis=analysis_doc)
-        print(json_mod.dumps(doc, indent=1, sort_keys=True))
-    if args.output:
-        print("; race report -> {}".format(args.output), file=sys.stderr)
+    tail = "\n".join(rep.render() for rep in reports)
+    status = _emit_report(
+        args, engine,
+        {"concurrency": {rep.region: rep.to_dict() for rep in reports}},
+        "\n\n" + tail if tail else "", name="race")
     if args.latency_report:
         with open(args.latency_report, "w") as handle:
-            json_mod.dump(
+            json.dump(
                 {"schema": 1, "regions": {
                     rep.region: rep.latency.to_dict() if rep.latency
                     else None for rep in reports}},
                 handle, indent=1, sort_keys=True)
         print("; latency report -> {}".format(args.latency_report),
               file=sys.stderr)
-    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
+    return status
 
 
+@_input_errors(2)
 def cmd_opt(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-opt",
@@ -895,14 +906,8 @@ def cmd_opt(argv=None):
                         help="module source (.s) or image (.hex); "
                              "EXPORTS is a comma-separated export list "
                              "(default: every label)")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--static-data", type=lambda v: int(v, 0),
-                        default=256, metavar="BYTES",
-                        help="per-domain static data span size "
-                             "(multiple of 256; 0 disables; default "
-                             "256)")
+    _add_allow_io(parser)
+    _add_static_data(parser, 256)
     parser.add_argument("--static-domains", type=int, default=None,
                         help="domains that get a span (default: one "
                              "per module)")
@@ -910,51 +915,21 @@ def cmd_opt(argv=None):
                         help="write the manifest(s) here (module name "
                              "is inserted before the extension when "
                              "several modules elide)")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when the re-lint finds an issue at "
-                             "or above this severity (default: error)")
+    _add_fail_on(parser)
     args = parser.parse_args(argv)
 
     from repro.analysis.static import lint_system
-    from repro.asm.assembler import default_symbols
     from repro.sfi.system import SfiSystem
 
-    static_domains = args.static_domains if args.static_domains is not None \
-        else min(len(args.modules), SfiLayout().ndomains - 1)
-    try:
-        layout = SfiLayout(static_data_bytes=args.static_data,
-                           static_data_domains=static_domains
-                           if args.static_data else 0)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    system = SfiSystem(layout=layout, allowed_io=tuple(args.allow_io))
-    predefined = set(default_symbols())
+    system = SfiSystem(layout=_static_layout(args, args.static_domains),
+                       allowed_io=tuple(args.allow_io))
     summaries = []
-    try:
-        for spec in args.modules:
-            path, _, exports_text = spec.partition(":")
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                asm = Assembler(symbols=system.kernel_symbols())
-                program = asm.assemble(_read_source(path), name=path)
-            lo, hi = program.extent()
-            labels = {n: a for n, a in program.symbols.items()
-                      if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-            exports = tuple(e for e in exports_text.split(",") if e) \
-                or tuple(sorted(labels))
-            name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            module = system.load_module(program, name, exports=exports,
-                                        elide=True)
-            summaries.append(module)
-    except (AsmError, OSError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except (RewriteError, VerifyError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+    for spec in args.modules:
+        name, program, _lo, labels, exports = _load_module(
+            spec, system.kernel_symbols())
+        summaries.append(system.load_module(
+            program, name, exports=exports or tuple(sorted(labels)),
+            elide=True))
     multiple = sum(1 for m in summaries if m.manifest is not None) > 1
     for module in summaries:
         stats = module.rewrite_stats
@@ -985,6 +960,7 @@ def cmd_opt(argv=None):
     return 1 if _findings_at_or_above(engine, args.fail_on) else 0
 
 
+@_input_errors(2)
 def cmd_certify(argv=None):
     parser = argparse.ArgumentParser(
         prog="harbor-certify",
@@ -1002,97 +978,54 @@ def cmd_certify(argv=None):
                         help="run the proof-directed check-elision "
                              "pass; the resulting manifest is part of "
                              "what certification re-proves")
-    parser.add_argument("--static-data", type=lambda v: int(v, 0),
-                        default=0, metavar="BYTES",
-                        help="per-domain static data span size "
-                             "(multiple of 256; implies a span per "
-                             "module; default 0)")
+    _add_static_data(parser, 0)
     parser.add_argument("--unchecked", action="store_true",
                         help="place the raw images without the "
                              "rewriter pipeline and certify them as "
                              "installed — a miscompiled or hand-"
                              "patched image fails with HL017")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the diagnostics report here "
-                             "(in --format)")
+    _add_allow_io(parser)
+    _add_report_args(parser)
     parser.add_argument("--report", default=None, metavar="OUT.json",
                         help="write the JIT-readiness JSON (per-module "
                              "block classification + counts) here")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when a finding at or above this "
-                             "severity exists (default: error)")
     args = parser.parse_args(argv)
-    import json as json_mod
 
-    from repro.analysis.static import write_report
     from repro.analysis.static.diagnostics import DiagnosticsEngine
     from repro.analysis.static.transval import validate_translation
-    from repro.asm.assembler import default_symbols
-    from repro.sfi.layout import SfiLayout
     from repro.sfi.system import SfiSystem
 
-    try:
-        layout = SfiLayout(static_data_bytes=args.static_data,
-                           static_data_domains=min(
-                               len(args.modules),
-                               SfiLayout().ndomains - 1)
-                           if args.static_data else 0)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    system = SfiSystem(layout=layout, allowed_io=tuple(args.allow_io))
-    predefined = set(default_symbols())
+    system = SfiSystem(layout=_static_layout(args),
+                       allowed_io=tuple(args.allow_io))
     engine = DiagnosticsEngine()
     reports = []
-    try:
-        for spec in args.modules:
-            path, _, exports_text = spec.partition(":")
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                asm = Assembler(symbols=system.kernel_symbols())
-                program = asm.assemble(_read_source(path), name=path)
-            lo, hi = program.extent()
-            labels = {n: a for n, a in program.symbols.items()
-                      if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-            exports = tuple(e for e in exports_text.split(",") if e) \
-                or tuple(sorted(labels))
-            name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            if args.unchecked:
-                base, end = system.place_image(program)
-                report = validate_translation(
-                    program, system.machine.memory.read_flash_word,
-                    base, end, system.layout, system.runtime.symbols,
-                    exports=exports, engine=engine, region=name,
-                    module=name)
-            else:
-                module = system.load_module(program, name,
-                                            exports=exports,
-                                            elide=args.elide)
-                export_targets = {
-                    e: system.linker.export_target(module.domain, e)
-                    for e in module.exports}
-                report = validate_translation(
-                    program, system.machine.memory.read_flash_word,
-                    module.start, module.end, system.layout,
-                    system.runtime.symbols, exports=exports,
-                    manifest=module.manifest,
-                    export_targets=export_targets, engine=engine,
-                    region=name, domain=module.domain, module=name)
-                module.certification = report
-            reports.append(report)
-    except (AsmError, OSError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except (RewriteError, VerifyError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+    for spec in args.modules:
+        name, program, _lo, labels, exports = _load_module(
+            spec, system.kernel_symbols())
+        exports = exports or tuple(sorted(labels))
+        if args.unchecked:
+            base, end = system.place_image(program)
+            report = validate_translation(
+                program, system.machine.memory.read_flash_word,
+                base, end, system.layout, system.runtime.symbols,
+                exports=exports, engine=engine, region=name,
+                module=name)
+        else:
+            module = system.load_module(program, name,
+                                        exports=exports,
+                                        elide=args.elide)
+            export_targets = {
+                e: system.linker.export_target(module.domain, e)
+                for e in module.exports}
+            report = validate_translation(
+                program, system.machine.memory.read_flash_word,
+                module.start, module.end, system.layout,
+                system.runtime.symbols, exports=exports,
+                manifest=module.manifest,
+                export_targets=export_targets, engine=engine,
+                region=name, domain=module.domain, module=name)
+            module.certification = report
+        reports.append(report)
     summary = {
         "schema": 1,
         "modules": [r.to_dict() for r in reports],
@@ -1106,37 +1039,22 @@ def cmd_certify(argv=None):
         "semantic_proofs": sum(r.semantic_proofs for r in reports),
         "elided_sites": sum(r.elided_sites for r in reports),
     }
-    if args.format == "text":
-        text = engine.render_text()
-        for r in reports:
-            text += ("\n{}: {} — {} line(s) matched, {} checked "
-                     "store(s) ({} symbolically proved), {} elided "
-                     "site(s); {} block(s): {} translatable, {} "
-                     "untranslatable".format(
-                         r.module,
-                         "certified" if r.ok else "REJECTED",
-                         r.matched_lines, r.store_checks,
-                         r.semantic_proofs, r.elided_sites,
-                         len(r.blocks), r.translatable_blocks,
-                         r.untranslatable_blocks))
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-    else:
-        if args.output:
-            write_report(args.output, engine, fmt=args.format,
-                         analysis=summary)
-        doc = engine.to_sarif() if args.format == "sarif" \
-            else engine.to_dict(analysis=summary)
-        print(json_mod.dumps(doc, indent=1, sort_keys=True))
+    status = _emit_report(args, engine, summary, "".join(
+        "\n{}: {} — {} line(s) matched, {} checked store(s) ({} "
+        "symbolically proved), {} elided site(s); {} block(s): {} "
+        "translatable, {} untranslatable".format(
+            r.module, "certified" if r.ok else "REJECTED",
+            r.matched_lines, r.store_checks, r.semantic_proofs,
+            r.elided_sites, len(r.blocks), r.translatable_blocks,
+            r.untranslatable_blocks)
+        for r in reports))
     if args.report:
         with open(args.report, "w") as handle:
-            json_mod.dump(summary, handle, indent=1, sort_keys=True)
+            json.dump(summary, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print("; JIT-readiness report -> {}".format(args.report),
               file=sys.stderr)
-    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
+    return status
 
 
 def cmd_fuzz(argv=None):
@@ -1168,8 +1086,6 @@ def cmd_fuzz(argv=None):
     parser.add_argument("--json", action="store_true",
                         help="print the full stats as JSON")
     args = parser.parse_args(argv)
-
-    import json
 
     from repro.soundness import Campaign, dump_escape
     from repro.soundness.fuzzer import DEFAULT_MAX_CYCLES
@@ -1215,22 +1131,22 @@ def cmd_fuzz(argv=None):
     return 1 if escaped else 0
 
 
+TOOLS = {"asm": cmd_asm, "disasm": cmd_disasm, "rewrite": cmd_rewrite,
+         "verify": cmd_verify, "run": cmd_run, "trace": cmd_trace,
+         "profile": cmd_profile, "replay": cmd_replay,
+         "explain-fault": cmd_explain_fault, "metrics": cmd_metrics,
+         "lint": cmd_lint, "opt": cmd_opt, "certify": cmd_certify,
+         "fuzz": cmd_fuzz, "race": cmd_race}
+
+
 def main(argv=None):
     """Multiplexer: ``python -m repro.cli <tool> ...``."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    tools = {"asm": cmd_asm, "disasm": cmd_disasm,
-             "rewrite": cmd_rewrite, "verify": cmd_verify,
-             "run": cmd_run, "trace": cmd_trace, "profile": cmd_profile,
-             "replay": cmd_replay, "explain-fault": cmd_explain_fault,
-             "metrics": cmd_metrics, "lint": cmd_lint, "opt": cmd_opt,
-             "certify": cmd_certify, "fuzz": cmd_fuzz, "race": cmd_race}
-    if not argv or argv[0] not in tools:
-        print("usage: python -m repro.cli "
-              "{asm|disasm|rewrite|verify|run|trace|profile|replay|"
-              "explain-fault|metrics|lint|opt|certify|fuzz|race} ...",
-              file=sys.stderr)
+    if not argv or argv[0] not in TOOLS:
+        print("usage: python -m repro.cli {{{}}} ...".format(
+            "|".join(TOOLS)), file=sys.stderr)
         return 64
-    return tools[argv[0]](argv[1:])
+    return TOOLS[argv[0]](argv[1:])
 
 
 if __name__ == "__main__":

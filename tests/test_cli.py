@@ -506,3 +506,98 @@ def test_certify_missing_file_is_an_internal_error(capsys):
 def test_main_multiplexes_certify(capsys):
     assert main(["certify", "examples/modules/clean_sensor.s"]) == 0
     assert "certified" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------
+# bad input: one `error:` line, never a traceback
+# ---------------------------------------------------------------------
+BAD_IMAGE = "00000: 940c\nzz: 12\n"
+
+
+@pytest.fixture
+def bad_image(tmp_path):
+    path = tmp_path / "bad.hex"
+    path.write_text(BAD_IMAGE)
+    return str(path)
+
+
+@pytest.mark.parametrize("tool", [["lint"], ["lint", "--unchecked"],
+                                  ["opt"], ["certify"],
+                                  ["certify", "--unchecked"], ["race"]])
+@pytest.mark.parametrize("case", ["malformed-hex", "unknown-name"])
+def test_analysis_tools_bad_input_exits_two(tool, case, bad_image,
+                                            capsys):
+    spec = bad_image if case == "malformed-hex" \
+        else "examples/modules/clean_sensor.s:nope"
+    assert main(tool + [spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    if case == "malformed-hex":
+        assert "bad.hex:2" in err
+    else:
+        assert "unknown entry label 'nope'" in err
+
+
+RUN_TOOLS = ("run", "trace", "profile", "replay", "explain-fault",
+             "metrics")
+BAD_INPUTS = (
+    [(tool, case) for tool in ("asm", "disasm", "rewrite", "verify")
+     + RUN_TOOLS for case in ("missing-file", "bad-source")]
+    + [(tool, "malformed-hex") for tool in ("disasm", "rewrite", "verify")
+       + RUN_TOOLS]
+    + [(tool, "unknown-entry") for tool in RUN_TOOLS])
+
+
+@pytest.mark.parametrize("tool,case", BAD_INPUTS)
+def test_other_tools_bad_input_exits_one(tool, case, bad_image,
+                                         demo_source, tmp_path,
+                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)     # harbor-trace writes trace.json
+    bad_source = tmp_path / "foo.s"
+    bad_source.write_text("    foo r1\n")
+    argv = {"missing-file": [str(tmp_path / "missing.s")],
+            "bad-source": [str(bad_source)],
+            "malformed-hex": [bad_image],
+            "unknown-entry": [demo_source, "--entry", "nope"]}[case]
+    assert main([tool] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "trace.json").exists()
+
+
+def test_simulator_runtime_errors_still_raise(demo_source):
+    # from reset the demo's `ret` pops past the stack: a simulator
+    # error, not an input error, so it keeps its traceback
+    from repro.sim.errors import SimError
+    with pytest.raises(SimError):
+        cmd_run([demo_source, "--max-cycles", "50"])
+
+
+def test_tool_table_matches_console_scripts(capsys):
+    import re
+    from pathlib import Path
+
+    import repro.cli as cli
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    section = pyproject.read_text().split("[project.scripts]", 1)[1]
+    section = section.split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^harbor-([\w-]+)\s*=\s*"([^"]+)"',
+                              section, re.M))
+    assert len(scripts) == 15
+    for tool, target in scripts.items():
+        assert target == "repro.cli:cmd_" + tool.replace("-", "_")
+        assert callable(getattr(cli, target.split(":")[1]))
+        assert re.search(r"\* ``harbor-{}[ `]".format(tool), cli.__doc__)
+    assert main([]) == 64
+    usage = capsys.readouterr().err
+    served = re.search(r"\{([^}]*)\}", usage).group(1).split("|")
+    assert sorted(served) == sorted(scripts)
+    for tool in served:
+        with pytest.raises(SystemExit) as exit_info:
+            main([tool, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: harbor-" + tool)
