@@ -12,11 +12,16 @@ diagnostics.
 :class:`~repro.umpu.system.UmpuSystem` (duck-typed: both expose
 ``layout``/``machine``/``runtime``/``jump_table``/``modules``), which is
 what the ``harbor-lint`` CLI and the strict load-time gate use.
+
+A model is a snapshot of flash as it stood when the model was built:
+its region CFGs and its jump-table parse are computed once, lazily, and
+cached for the model's lifetime.  Build a new model after flash changes.
 """
 
 from dataclasses import dataclass, field
 
 from repro.isa.encoding import DecodeError, decode_words
+from repro.sim.errors import InvalidAccess
 
 from repro.analysis.static.cfg import RegionCFG
 
@@ -80,6 +85,7 @@ class ImageModel:
         #: :meth:`isr_handlers` unions these with label discovery
         self.isrs = list(isrs)
         self._cfgs = {}
+        self._jt = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -189,51 +195,48 @@ class ImageModel:
                                  stride_words=stride_words)
 
     # ------------------------------------------------------------------
+    def _jt_parse(self):
+        """Slot byte address -> :class:`JtEntry` for every jump-table
+        slot, parsed on first use and kept for the model's lifetime
+        (the model is a snapshot of flash, like its CFGs)."""
+        if self._jt is None:
+            jt = self.jump_table
+            self._jt = {}
+            for domain in range(jt.ndomains):
+                for index in range(jt.entries_per_domain):
+                    addr = jt.entry_addr(domain, index)
+                    self._jt[addr] = self._parse_slot(domain, index, addr)
+        return self._jt
+
+    def _parse_slot(self, domain, index, addr):
+        try:
+            words = (self.read_word(addr // 2), self.read_word(addr // 2 + 1))
+        except InvalidAccess:
+            return JtEntry(domain, index, addr, ok=False)
+        try:
+            instr = decode_words(*words)
+        except DecodeError:
+            return JtEntry(domain, index, addr, ok=False, words=words)
+        if instr.key != "jmp":
+            return JtEntry(domain, index, addr, ok=False, words=words)
+        return JtEntry(domain, index, addr, target=instr.operands[0] * 2,
+                       words=words)
+
     def jt_target(self, entry_addr):
         """The jmp destination of the jump-table slot at *entry_addr*
-        (byte address), or None if the slot does not decode to a jmp."""
-        try:
-            w0 = self.read_word(entry_addr // 2)
-            w1 = self.read_word(entry_addr // 2 + 1)
-            instr = decode_words(w0, w1)
-        except Exception:
-            return None
-        if instr.key != "jmp":
-            return None
-        return instr.operands[0] * 2
+        (byte address), or None if *entry_addr* is not a slot or the
+        slot does not decode to a jmp."""
+        entry = self._jt_parse().get(entry_addr)
+        return None if entry is None else entry.target
 
     def jt_entries(self):
-        """Parse every jump-table slot; yields :class:`JtEntry`."""
-        jt = self.jump_table
-        entries = []
-        for domain in range(jt.ndomains):
-            for index in range(jt.entries_per_domain):
-                addr = jt.entry_addr(domain, index)
-                try:
-                    w0 = self.read_word(addr // 2)
-                    w1 = self.read_word(addr // 2 + 1)
-                except Exception:
-                    entries.append(JtEntry(domain, index, addr, ok=False))
-                    continue
-                words = (w0, w1)
-                try:
-                    instr = decode_words(w0, w1)
-                except DecodeError:
-                    entries.append(JtEntry(domain, index, addr, ok=False,
-                                           words=words))
-                    continue
-                if instr.key != "jmp":
-                    entries.append(JtEntry(domain, index, addr, ok=False,
-                                           words=words))
-                    continue
-                entries.append(JtEntry(domain, index, addr,
-                                       target=instr.operands[0] * 2,
-                                       words=words))
-        return entries
+        """Every parsed jump-table slot, as a list of :class:`JtEntry`
+        in (domain, index) order."""
+        return list(self._jt_parse().values())
 
     def jt_targets_into(self, region):
         """Jump-table targets landing inside *region* (the addresses a
         cross-domain call can reach — entry roots for reachability)."""
-        return sorted({e.target for e in self.jt_entries()
+        return sorted({e.target for e in self._jt_parse().values()
                        if e.target is not None
                        and region.start <= e.target < region.end})

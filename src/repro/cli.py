@@ -735,7 +735,10 @@ def cmd_lint(argv=None):
                     (base + lo_off, base + hi_off)
                     for lo_off, hi_off in data_spans.get(name, ()))))
         else:
-            system.load_module(program, name, exports=exports)
+            try:
+                system.load_module(program, name, exports=exports)
+            except ValueError as exc:   # e.g. a UMPU image off origin 0
+                raise InputError("{}: {}".format(name, exc)) from None
     model, report = lint_system(system,
                                 dead_code=not args.no_dead_code,
                                 extra_modules=extra_regions)

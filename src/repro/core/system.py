@@ -85,8 +85,18 @@ class ProtectedSystem:
         self.boot()
 
     def _flush_jump_table(self):
-        self.linker.emit(self.machine.memory.write_flash_word)
-        self.machine.core.invalidate_decode_cache()
+        """Bring flash's jump-table region in line with the linker,
+        writing only the words whose value changes (each write drops
+        the decodes it covers)."""
+        memory = self.machine.memory
+        flash = memory.flash
+        write = memory.write_flash_word
+
+        def write_changed(word_addr, value):
+            if flash[word_addr] != value:
+                write(word_addr, value)
+
+        self.linker.emit(write_changed)
 
     # ------------------------------------------------------------------
     @property
@@ -160,7 +170,6 @@ class ProtectedSystem:
         write = self.machine.memory.write_flash_word
         for word_addr, value in program.words.items():
             write(base_word + word_addr, value)
-        self.machine.core.invalidate_decode_cache()
         end = start + (hi - lo + 1) * 2
         self._next_load = (end + 0xFF) & ~0xFF
         return start, end

@@ -80,11 +80,11 @@ class CrossDomainLinker:
         value)``: real entries ``jmp target``, empty entries ``jmp
         exception_target``."""
         jt = self.jump_table
+        empty = encode("jmp", (self.exception_target // 2,))
         for domain in range(jt.ndomains):
             for index in range(jt.entries_per_domain):
                 rec = self._exports.get((domain, index))
-                target = rec.target if rec else self.exception_target
-                w0, w1 = encode("jmp", (target // 2,))
+                w0, w1 = encode("jmp", (rec.target // 2,)) if rec else empty
                 entry = jt.entry_addr(domain, index) // 2
                 write_word(entry, w0)
                 write_word(entry + 1, w1)

@@ -99,10 +99,6 @@ class UmpuSystem(ProtectedSystem):
                     mem.write_flash_word(base_word + (idx - lo) + 1,
                                          new[1])
             idx += instr.size_words
-        # the patched words may sit at addresses the core has already
-        # executed (a reload at a reused base); never let it run stale
-        # decodes (write_flash_word also notifies the core per word)
-        self.machine.core.invalidate_decode_cache()
         return program
 
     # ------------------------------------------------------------------

@@ -523,7 +523,8 @@ def bad_image(tmp_path):
 
 @pytest.mark.parametrize("tool", [["lint"], ["lint", "--unchecked"],
                                   ["opt"], ["certify"],
-                                  ["certify", "--unchecked"], ["race"]])
+                                  ["certify", "--unchecked"], ["race"],
+                                  ["lint", "--umpu"]])
 @pytest.mark.parametrize("case", ["malformed-hex", "unknown-name"])
 def test_analysis_tools_bad_input_exits_two(tool, case, bad_image,
                                             capsys):
@@ -537,6 +538,20 @@ def test_analysis_tools_bad_input_exits_two(tool, case, bad_image,
         assert "bad.hex:2" in err
     else:
         assert "unknown entry label 'nope'" in err
+
+
+def test_lint_umpu_off_origin_image_exits_two(tmp_path, capsys):
+    # the UMPU loader places modules itself: an image assembled away
+    # from origin 0 is bad input, not a loader crash
+    image = tmp_path / "off.hex"
+    source = tmp_path / "off.s"
+    source.write_text(".org 0x100\n    nop\n    ret\n")
+    assert main(["asm", str(source), "-o", str(image)]) == 0
+    capsys.readouterr()
+    assert main(["lint", "--umpu", str(image)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: off: assemble UMPU modules at origin 0 " \
+                  "(they are placed by the loader)\n"
 
 
 RUN_TOOLS = ("run", "trace", "profile", "replay", "explain-fault",

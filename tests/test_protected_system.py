@@ -165,3 +165,92 @@ def test_memory_api_round_trip_leaves_memmap_as_booted(system_cls):
     assert _memmap_bytes(system) == boot
     # the SRAM attribution cell is put back after every service call
     assert system.machine.memory.read_data(system.layout.cur_dom) == cell
+
+
+# ---------------------------------------------------------------------
+# the jump-table flush writes only changed words
+# ---------------------------------------------------------------------
+OTHER = "f:\n    ldi r24, 0x22\n    ldi r25, 0\n    ret\n"
+
+
+def _count_flash_writes(system):
+    written = []
+    system.machine.memory.flash_listeners.append(written.append)
+    return written
+
+
+def _assert_jump_table_as_linked(system):
+    """Flash over the jump-table range equals a full emit of the
+    linker's state, and flushing again writes nothing."""
+    expected = {}
+    system.linker.emit(expected.__setitem__)
+    flash = system.machine.memory.flash
+    assert {w: flash[w] for w in expected} == expected
+    written = _count_flash_writes(system)
+    system._flush_jump_table()
+    assert written == []
+    system.machine.memory.flash_listeners.remove(written.append)
+
+
+@pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem])
+def test_jump_table_flush_matches_full_emit(system_cls):
+    system = system_cls()
+    _assert_jump_table_as_linked(system)               # boot
+    booted = system.snapshot()
+    system.load_module(assemble(GOOD, "a"), "a", exports=("f",))
+    _assert_jump_table_as_linked(system)               # load
+    _module(system)
+    _assert_jump_table_as_linked(system)
+    system.unload_module("a")
+    _assert_jump_table_as_linked(system)               # unload
+    system.load_module(assemble(OTHER, "b"), "b", exports=("f",))
+    assert system.modules["b"].domain == 0             # domain-id reuse
+    _assert_jump_table_as_linked(system)
+    system.restore(booted)                             # snapshot restore
+    _assert_jump_table_as_linked(system)
+    system.load_module(assemble(OTHER, "c"), "c", exports=("f",))
+    _assert_jump_table_as_linked(system)
+    assert system.call_export("c", "f")[0] == 0x22
+
+
+# ---------------------------------------------------------------------
+# loading keeps warm decodes; rewrites under a cached decode re-decode
+# ---------------------------------------------------------------------
+@pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem])
+def test_load_module_keeps_runtime_decodes(system_cls):
+    system = system_cls()
+    _module(system)
+    system.call_export("mod", "grab")
+    lo, hi = system.runtime.extent()
+    cache = system.machine.core._decode_cache
+    warm = {pc: entry for pc, entry in cache.items() if lo <= pc <= hi}
+    assert warm
+    system.load_module(assemble(GOOD, "a"), "a", exports=("f",))
+    assert {pc: cache.get(pc) for pc in warm} == warm
+
+
+@pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem])
+def test_rewrite_under_cached_decode_is_redecoded(system_cls):
+    system = system_cls()
+    module = system.load_module(assemble(GOOD, "a"), "a", exports=("f",))
+    slot = module.exports["f"] // 2
+    assert system.call_export("a", "f")[0] == 0x11
+    cache = system.machine.core._decode_cache
+    assert slot in cache                    # the slot's 32-bit jmp ran
+    # a 16-bit word: patch the module's `ldi r24, 0x11`
+    flash = system.machine.memory.flash
+    ldi = flash.index(assemble("    ldi r24, 0x11\n").words[0],
+                      module.start // 2, module.end // 2)
+    assert ldi in cache
+    system.machine.memory.write_flash_word(
+        ldi, assemble("    ldi r24, 0x33\n").words[0])
+    assert system.call_export("a", "f")[0] == 0x33
+    # the second word of a 32-bit instruction: unloading `a` and loading
+    # `b` into the same domain and slot rewrites only the jmp's target
+    # word, under the decode cached at the slot's first word
+    system.unload_module("a")
+    written = _count_flash_writes(system)
+    system.load_module(assemble(OTHER, "b"), "b", exports=("f",))
+    assert system.modules["b"].exports["f"] // 2 == slot
+    assert slot + 1 in written and slot not in written
+    assert system.call_export("b", "f")[0] == 0x22

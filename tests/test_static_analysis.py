@@ -12,7 +12,10 @@ The acceptance-critical properties pinned here:
   constant state cannot see.
 """
 
+import collections
+import glob
 import json
+import os
 import re
 
 import pytest
@@ -42,8 +45,10 @@ from repro.asm.assembler import default_symbols
 from repro.core.control_flow import JumpTable
 from repro.core.faults import MemMapFault
 from repro.sfi.layout import SfiLayout
+from repro.sfi.rewriter import RewriteError
 from repro.sfi.system import SfiSystem
 from repro.sfi.verifier import VerifyError
+from repro.umpu.system import UmpuSystem
 
 
 MODULE = """
@@ -460,6 +465,77 @@ def test_strict_lint_gate_rejects_on_whole_image_errors():
     assert "HL001" in str(exc.value)
     assert "whole-image lint rejected" in str(exc.value)
     assert "second" not in system.modules     # rolled back
+
+
+# =====================================================================
+# One jump-table parse per image model
+# =====================================================================
+EXAMPLE_MODULES = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "examples", "modules", "*.s")))
+
+
+def _admit_examples(system_cls):
+    """A node with every example module admitted: loaded when the
+    loader accepts it, else placed raw as an extra region."""
+    system = system_cls(SfiLayout(static_data_bytes=256,
+                                  static_data_domains=1))
+    extra = []
+    for path in EXAMPLE_MODULES:
+        name = os.path.basename(path)[:-2]
+        with open(path) as handle:
+            source = handle.read()
+        program = Assembler(symbols=system.kernel_symbols()).assemble(
+            source, name)
+        labels = re.findall(r"^(\w+):", source, re.MULTILINE)
+        try:
+            system.load_module(program, name, exports=tuple(labels))
+        except RewriteError:
+            extra.append(place_raw(system, source, name=name,
+                                   domain=system.layout.ndomains - 2
+                                   - len(extra),
+                                   symbols=system.kernel_symbols())[0])
+    return system, extra
+
+
+def _reports(system, extra):
+    """The text, JSON and SARIF reports harbor-lint would print."""
+    _model, report = lint_system(system, extra_modules=extra)
+    engine = report.diagnostics
+    return (engine.render_text() + "\n\n" + report.render_analysis(),
+            json.dumps(engine.to_dict(analysis=report.analysis_dict()),
+                       indent=1, sort_keys=True),
+            json.dumps(engine.to_sarif(), indent=1, sort_keys=True))
+
+
+@pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem])
+def test_lint_reads_each_jump_table_word_once(system_cls):
+    system, extra = _admit_examples(system_cls)
+    assert system.modules
+    jt = system.jump_table
+    lo = jt.base // 2
+    hi = lo + jt.ndomains * jt.entries_per_domain * jt.entry_bytes // 2
+    memory = system.machine.memory
+    reads = collections.Counter()
+
+    def counting_read(word_addr, read=memory.read_flash_word):
+        if lo <= word_addr < hi:
+            reads[word_addr] += 1
+        return read(word_addr)
+
+    memory.read_flash_word = counting_read
+    lint_system(system, extra_modules=extra)
+    assert len(reads) == hi - lo
+    assert max(reads.values()) == 1
+
+
+@pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem])
+def test_lint_reports_unchanged_by_load_unload_cycle(system_cls):
+    system, extra = _admit_examples(system_cls)
+    before = _reports(system, extra)
+    load(system, "cycled")
+    assert _reports(system, extra) != before
+    system.unload_module("cycled")
+    assert _reports(system, extra) == before
 
 
 # =====================================================================
