@@ -6,7 +6,8 @@ word image linearly, decoding 16- and 32-bit instructions, and renders
 a listing with symbolic labels when a symbol table is supplied.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.isa.encoding import DecodeError, decode_words
 from repro.isa.registers import pair_name
@@ -14,16 +15,28 @@ from repro.isa.registers import pair_name
 
 @dataclass(frozen=True)
 class Line:
-    """One disassembled instruction (or undecodable data word)."""
+    """One disassembled instruction (or undecodable data word).
+
+    ``text`` is rendered on first read: most consumers (CFG building,
+    the verifier, the analyses) only look at ``instr``.  The line keeps
+    the caller's byte address -> label map for that rendering; it is
+    not part of equality or the hash.
+    """
 
     byte_addr: int
     words: tuple
     instr: object  # DecodedInstr or None when undecodable
-    text: str
+    symbols_by_addr: dict = field(default=None, compare=False, repr=False)
 
     @property
     def size_words(self):
         return len(self.words)
+
+    @cached_property
+    def text(self):
+        if self.instr is None:
+            return ".dw 0x{:04x}".format(self.words[0])
+        return format_instr(self.instr, self.byte_addr, self.symbols_by_addr)
 
 
 _PTR_SUFFIX = {
@@ -118,13 +131,11 @@ def disassemble(words, start_word=0, count_words=None, symbols=None):
         try:
             instr = decode_words(w0, w1)
         except DecodeError:
-            lines.append(Line(byte_addr, (w0,), None,
-                              ".dw 0x{:04x}".format(w0)))
+            lines.append(Line(byte_addr, (w0,), None))
             i += 1
             continue
         used = words[i:i + instr.size_words]
-        text = format_instr(instr, byte_addr, symbols_by_addr)
-        lines.append(Line(byte_addr, tuple(used), instr, text))
+        lines.append(Line(byte_addr, tuple(used), instr, symbols_by_addr))
         i += instr.size_words
     return lines
 
@@ -135,34 +146,35 @@ def disassemble_flash(read_word, start_word, count_words,
 
     The forensics flight recorder uses this to render instruction
     windows straight off :class:`repro.sim.memory.Memory` without
-    materializing a Program.  *read_word* may raise for out-of-range
-    addresses; the walk stops cleanly at the first unreadable word.
+    materializing a Program.  *read_word* may raise
+    :class:`~repro.sim.errors.InvalidAccess` for out-of-range addresses;
+    the walk stops cleanly at the first unreadable word.
     Returns a list of :class:`Line` with true byte addresses (so
     relative-branch targets render correctly).
     """
+    # imported here: repro.sim pulls in repro.trace, which imports us
+    from repro.sim.errors import InvalidAccess
     lines = []
     i = start_word
     end = start_word + count_words
     while i < end:
         try:
             w0 = read_word(i)
-        except Exception:
+        except InvalidAccess:
             break
         try:
             w1 = read_word(i + 1)
-        except Exception:
+        except InvalidAccess:
             w1 = None
         byte_addr = i * 2
         try:
             instr = decode_words(w0, w1)
         except DecodeError:
-            lines.append(Line(byte_addr, (w0,), None,
-                              ".dw 0x{:04x}".format(w0)))
+            lines.append(Line(byte_addr, (w0,), None))
             i += 1
             continue
         used = (w0,) if instr.size_words == 1 else (w0, w1)
-        lines.append(Line(byte_addr, used, instr,
-                          format_instr(instr, byte_addr, symbols_by_addr)))
+        lines.append(Line(byte_addr, used, instr, symbols_by_addr))
         i += instr.size_words
     return lines
 

@@ -162,6 +162,15 @@ def _load_module(spec, symbols):
     return name, program, lo, labels, names
 
 
+def _install(system, program, name, **kwargs):
+    """``system.load_module``, with a loader ``ValueError`` (no free
+    protection domain, a UMPU image off origin 0) as bad input."""
+    try:
+        return system.load_module(program, name, **kwargs)
+    except ValueError as exc:
+        raise InputError("{}: {}".format(name, exc)) from None
+
+
 def _static_layout(args, domains=None):
     """The ``SfiLayout`` for ``--static-data``: a pinned span for each
     of *domains* (default: one per module) when the size is non-zero."""
@@ -735,10 +744,7 @@ def cmd_lint(argv=None):
                     (base + lo_off, base + hi_off)
                     for lo_off, hi_off in data_spans.get(name, ()))))
         else:
-            try:
-                system.load_module(program, name, exports=exports)
-            except ValueError as exc:   # e.g. a UMPU image off origin 0
-                raise InputError("{}: {}".format(name, exc)) from None
+            _install(system, program, name, exports=exports)
     model, report = lint_system(system,
                                 dead_code=not args.no_dead_code,
                                 extra_modules=extra_regions)
@@ -930,8 +936,8 @@ def cmd_opt(argv=None):
     for spec in args.modules:
         name, program, _lo, labels, exports = _load_module(
             spec, system.kernel_symbols())
-        summaries.append(system.load_module(
-            program, name, exports=exports or tuple(sorted(labels)),
+        summaries.append(_install(
+            system, program, name, exports=exports or tuple(sorted(labels)),
             elide=True))
     multiple = sum(1 for m in summaries if m.manifest is not None) > 1
     for module in summaries:
@@ -1014,9 +1020,8 @@ def cmd_certify(argv=None):
                 exports=exports, engine=engine, region=name,
                 module=name)
         else:
-            module = system.load_module(program, name,
-                                        exports=exports,
-                                        elide=args.elide)
+            module = _install(system, program, name, exports=exports,
+                              elide=args.elide)
             export_targets = {
                 e: system.linker.export_target(module.domain, e)
                 for e in module.exports}

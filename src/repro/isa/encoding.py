@@ -2,7 +2,10 @@
 
 The pattern compiler turns the datasheet bit strings of
 :mod:`repro.isa.opcodes` into (mask, value, field-position) triples once
-at import time; encoding and decoding are then plain bit manipulation.
+at import time; encoding and decoding are then plain bit manipulation,
+and :func:`decode_words` memoizes each distinct instruction word (up to
+a fixed bound), so the simulator, the disassembler and the analyses
+share one decode per word for the whole process.
 
 Flash is modelled as a sequence of 16-bit little-endian words; 32-bit
 instructions occupy two consecutive words with the operand field spread
@@ -164,12 +167,41 @@ def encode(key, operands=()):
     return (word >> 16, word & 0xFFFF)
 
 
+#: Process-wide decode memo: 16-bit forms keyed by their word, 32-bit
+#: forms by the full 32-bit value (a 32-bit first word is never 0, so
+#: the two key ranges cannot collide).  Decoding is a pure function of
+#: the words and a ``DecodedInstr`` is frozen, so every consumer may
+#: share one instance.  Cleared when it reaches ``_MEMO_LIMIT`` entries,
+#: so even a fuzz campaign over arbitrary 32-bit words stays bounded.
+_MEMO = {}
+_MEMO_LIMIT = 1 << 16
+
+
 def decode_words(word0, word1=None):
     """Decode one instruction from *word0* (and *word1* for 32-bit forms).
 
-    Returns a :class:`DecodedInstr`.  Raises :class:`DecodeError` if no
-    pattern matches.
+    Returns a :class:`DecodedInstr`, the same shared instance for every
+    call with the same instruction words.  Raises :class:`DecodeError`
+    if no pattern matches (failures are not memoized).
     """
+    if _IS_32BIT[word0 & 0xFFFF]:
+        if word1 is None:
+            raise DecodeError(
+                "truncated 32-bit instruction {:04x}".format(word0))
+        key = ((word0 << 16) | word1) & 0xFFFFFFFF
+    else:
+        key = word0 & 0xFFFF
+    instr = _MEMO.get(key)
+    if instr is None:
+        instr = _decode_uncached(word0, word1)
+        if len(_MEMO) >= _MEMO_LIMIT:
+            _MEMO.clear()
+        _MEMO[key] = instr
+    return instr
+
+
+def _decode_uncached(word0, word1=None):
+    """Scan the pattern tables: the reference :func:`decode_words` memoizes."""
     for spec in _DECODE_ORDER_32:
         pat = _COMPILED[spec.key]
         if (word0 & (pat.mask >> 16)) == (pat.value >> 16):

@@ -554,6 +554,38 @@ def test_lint_umpu_off_origin_image_exits_two(tmp_path, capsys):
                   "(they are placed by the loader)\n"
 
 
+@pytest.mark.parametrize("tool", [["lint"], ["lint", "--umpu"], ["opt"],
+                                  ["certify"]])
+def test_more_modules_than_domains_exits_two(tool, tmp_path, capsys):
+    # nine copies of one module: the eighth finds no free protection
+    # domain, which is bad input, not a loader crash
+    source = open("examples/modules/clean_sensor.s").read()
+    specs = []
+    for i in range(1, 10):
+        path = tmp_path / "m{}.s".format(i)
+        path.write_text(source)
+        specs.append(str(path))
+    assert main(tool + specs) == 2
+    err = capsys.readouterr().err
+    assert err == "error: m8: no free protection domain\n"
+
+
+def _lint_report_cases():
+    with open("tests/golden/lint_examples.json") as handle:
+        return sorted(json.load(handle).items())
+
+
+@pytest.mark.parametrize("args,golden", _lint_report_cases(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_lint_reports_match_golden(args, golden, capsys):
+    # text, JSON and SARIF reports on examples/modules, captured before
+    # disassembly text became lazy: every rendered line is unchanged
+    assert cmd_lint(args.split()) == golden["status"]
+    captured = capsys.readouterr()
+    assert captured.out == golden["stdout"]
+    assert captured.err == golden["stderr"]
+
+
 RUN_TOOLS = ("run", "trace", "profile", "replay", "explain-fault",
              "metrics")
 BAD_INPUTS = (

@@ -38,6 +38,7 @@ from repro.sfi.layout import (
     FAULT_STACK_BOUND,
 )
 from repro.sfi.system import SfiSystem
+from repro.sos.machine_kernel import MachineKernel
 from repro.trace import RECENT_REPORTS, BreakpointHit, WatchpointHit
 from repro.trace.forensics import dump_recent
 from repro.umpu import HarborLayout, UmpuMachine, UmpuSystem
@@ -275,6 +276,38 @@ def test_unknown_library_fault_code_is_flagged():
             system._check_fault()
         assert type(excinfo.value) is ProtectionFault
         assert "unknown library fault code 99" in str(excinfo.value)
+
+
+#: The Surge bug (paper section 1.2): SOS_ERROR (0xFF) used as an offset
+#: into the packet buffer lands the sample 255 bytes past it.
+SURGE = """
+handle_msg:                 ; r24 = sensor sample, r22:23 = packet buffer
+    movw r26, r22
+    subi r26, 0x01          ; X -= 0xFF01, i.e. X += SOS_ERROR (0xFF)
+    sbci r27, 0xFF
+    st X, r24
+    ret
+"""
+
+
+@pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem],
+                         ids=["Sfi", "Umpu"])
+def test_contained_surge_fault_report_matches_golden(system_cls):
+    # captured before disassembly text became lazy: the static window
+    # (symbolized jump-table targets included) renders byte-identically
+    with open("tests/golden/surge_forensics.json") as handle:
+        golden = json.load(handle)[system_cls.__name__]
+    system = system_cls()
+    kernel = MachineKernel(system)
+    record = kernel.load_module(assemble(SURGE, "surge"), "surge")
+    system.malloc(300)                      # the trusted victim block
+    buffer = system.malloc(8, domain=record.module.domain)
+    kernel.post("surge", 0x5A, arg=buffer)
+    kernel.run(max_messages=1)
+    (entry,) = kernel.fault_log
+    assert isinstance(entry.fault, MemMapFault)
+    assert entry.fault.report.text() == golden["text"]
+    assert entry.fault.report.to_json() == golden["json"]
 
 
 # ---------------------------------------------------------------------

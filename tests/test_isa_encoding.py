@@ -8,9 +8,11 @@ round-trip property covers the whole operand space of every spec.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.isa.encoding as encoding
 from repro.isa.encoding import (
     DecodeError,
     EncodeError,
+    _decode_uncached,
     decode_words,
     encode,
     is_32bit_opcode,
@@ -261,3 +263,82 @@ def test_decode_is_unambiguous_for_all_encodings():
             assert decoded.key == spec.key, (
                 "{} with {} decoded as {}".format(spec.key, combo,
                                                   decoded.key))
+
+
+# ---------------------------------------------------------------------
+# the process-wide decode memo
+# ---------------------------------------------------------------------
+@pytest.fixture
+def cold_memo():
+    encoding._MEMO.clear()
+    yield encoding._MEMO
+    encoding._MEMO.clear()
+
+
+def _outcome(decode, word0, word1):
+    try:
+        return decode(word0, word1)
+    except DecodeError as exc:
+        return str(exc)
+
+
+SECOND_WORDS = (0x0000, 0x0001, 0x1234, 0x8000, 0xFFFF)
+
+
+def test_memo_is_total_and_matches_uncached_decode(cold_memo):
+    """Every first word, on a cold memo and again on a warm one, decodes
+    exactly as the uncached pattern scan does: 63,322 decode and 2,214
+    raise ``DecodeError``.  32-bit forms are checked with several second
+    words each."""
+    for temperature in ("cold", "warm"):
+        decoded = failed = 0
+        for word0 in range(1 << 16):
+            seconds = SECOND_WORDS if is_32bit_opcode(word0) else (0x0000,)
+            for word1 in seconds:
+                got = _outcome(decode_words, word0, word1)
+                assert got == _outcome(_decode_uncached, word0, word1), (
+                    temperature, hex(word0), hex(word1))
+            if isinstance(got, str):
+                failed += 1
+            else:
+                decoded += 1
+        assert (decoded, failed) == (63322, 2214), temperature
+        # one entry per decoded 16-bit word and per 32-bit word pair:
+        # the sweep fits under the bound, so the second pass is warm
+        n32 = sum(map(is_32bit_opcode, range(1 << 16)))
+        assert len(cold_memo) == 63322 - n32 + n32 * len(SECOND_WORDS)
+
+
+def test_memo_keys_16bit_forms_by_first_word_alone(cold_memo):
+    first = decode_words(0x0F01)                  # add r16, r17
+    for word1 in (None,) + SECOND_WORDS:
+        assert decode_words(0x0F01, word1) is first
+    assert first == _decode_uncached(0x0F01)
+    call_a = decode_words(0x940E, 0x0010)
+    assert decode_words(0x940E, 0x0010) is call_a
+    assert decode_words(0x940E, 0x0020) != call_a
+
+
+def test_memo_never_caches_truncated_32bit_forms(cold_memo):
+    decode_words(0x940E, 0x0000)
+    decode_words(0x940E, 0x940E)
+    for _ in range(2):
+        with pytest.raises(DecodeError, match="truncated 32-bit"):
+            decode_words(0x940E, None)
+        with pytest.raises(DecodeError, match="cannot decode word ffff"):
+            decode_words(0xFFFF)
+    assert 0x940E not in cold_memo and 0xFFFF not in cold_memo
+
+
+def test_memo_stays_bounded_and_correct_past_its_limit(cold_memo):
+    limit = encoding._MEMO_LIMIT
+    distinct = [(0x940E, word1) for word1 in range(1 << 16)] \
+        + [(0x940C, word1) for word1 in range(limit // 8)]
+    assert len(distinct) > limit
+    for word0, word1 in distinct:
+        decode_words(word0, word1)
+        assert len(cold_memo) <= limit
+    # the bound tripped: only the decodes since the clear are kept
+    assert len(cold_memo) == len(distinct) - limit
+    for word0, word1 in distinct[::997] + distinct[-5:]:
+        assert decode_words(word0, word1) == _decode_uncached(word0, word1)
