@@ -22,6 +22,11 @@ class AccessKind(enum.Enum):
     IO_READ = "io_read"        # in instruction / sbic/sbis
     IO_WRITE = "io_write"      # out instruction / sbi/cbi
 
+    #: members are singletons, so identity hashing is exact and keeps
+    #: the bus's per-kind route lookups in C (Enum hashes the name in
+    #: Python)
+    __hash__ = object.__hash__
+
     @property
     def is_write(self):
         return self in (AccessKind.DATA_STORE, AccessKind.STACK_PUSH,

@@ -175,7 +175,8 @@ class UmpuWriteOracle(WriteOracle):
     """Oracle for the hardware system: every untrusted checked-kind
     write must satisfy the golden model, no PC exemptions."""
 
-    #: the kinds the MMC contract covers (mirrors mmc._CHECKED_KINDS)
+    #: the kinds the MMC contract covers (mirrors
+    #: MemMapController.write_kinds)
     CHECKED_KINDS = (AccessKind.DATA_STORE, AccessKind.STACK_PUSH)
 
     def __init__(self, machine):

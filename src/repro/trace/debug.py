@@ -100,10 +100,11 @@ class WatchUnit:
     """Bus interposer that feeds data accesses to the watchpoint list.
 
     Duck-typed against the DataBus interposer protocol (``on_write`` /
-    ``on_read`` returning a verdict or ``None``); it always returns
-    ``None`` so it neither consumes accesses nor adds cycles, and it is
-    inserted at position 0 so protection units downstream still see
-    every access unchanged.
+    ``on_read`` returning a verdict or ``None``, no declared kinds, so
+    it claims every kind); it always returns ``None`` so it neither
+    consumes accesses nor adds cycles, and it is added at the front of
+    every route so protection units downstream still see every access
+    unchanged.
     """
 
     name = "watchpoints"
@@ -149,7 +150,7 @@ class Debugger:
         self._resume_pc = None
         self.watch_unit = WatchUnit(self)
         machine.core.debug = self
-        machine.bus.interposers.insert(0, self.watch_unit)
+        machine.bus.add_interposer(self.watch_unit, first=True)
 
     # -- breakpoints ----------------------------------------------------
     def add_breakpoint(self, byte_addr):
@@ -213,6 +214,6 @@ class Debugger:
         if self.machine.core.debug is self:
             self.machine.core.debug = None
         try:
-            self.machine.bus.interposers.remove(self.watch_unit)
+            self.machine.bus.remove_interposer(self.watch_unit)
         except ValueError:
             pass

@@ -114,9 +114,10 @@ class Timeline:
         paths call this right before entering ``core.run``, after any
         host-side setup (argument registers, pushed sentinel, kernel
         recovery writes) — so seeks into the new run restore that setup
-        instead of trying to re-execute it.
+        instead of trying to re-execute it.  A run inside a suspension
+        (the recorder is detached) pins nothing.
         """
-        if not self.recording:
+        if not self.recording or self._suspend_depth:
             return
         core = self.machine.core
         self._capture("run")
@@ -132,7 +133,7 @@ class Timeline:
         while the fault is still propagating).  The faulting instruction
         advanced PC but retired nothing, so this keyframe is the exact
         resumable post-fault state."""
-        if not self.recording:
+        if not self.recording or self._suspend_depth:
             return
         idx = self._capture("fault")
         self.faults.append((idx, getattr(fault, "code", "protection")))
@@ -366,7 +367,7 @@ class Timeline:
                  machine.forensics)
         watch_unit = getattr(core.debug, "watch_unit", None)
         if watch_unit is not None and watch_unit in bus.interposers:
-            bus.interposers.remove(watch_unit)
+            bus.remove_interposer(watch_unit)
         else:
             watch_unit = None
         core.trace = core.profiler = core.metrics = core.debug = None
@@ -384,7 +385,7 @@ class Timeline:
              bus.trace, bus.profiler, bus.metrics, bus.tracer,
              machine.forensics) = saved
             if watch_unit is not None:
-                bus.interposers.insert(0, watch_unit)
+                bus.add_interposer(watch_unit, first=True)
 
     @contextmanager
     def preserving(self):

@@ -16,6 +16,7 @@ Typical setup (what the trusted runtime does at boot)::
     m.call("module_entry")
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.core.encoding import TRUSTED_DOMAIN
@@ -172,18 +173,16 @@ class UmpuMachine(Machine):
         self.mmc.faults = extra["mmc"]["faults"]
 
     # ------------------------------------------------------------------
+    @contextmanager
     def protection_disabled(self):
-        """Context manager temporarily disabling all units (for loads)."""
+        """Context manager temporarily disabling all units (for loads).
+
+        Each block keeps its own saved config, so nested blocks restore
+        the outer state, also when the block raises."""
         regs = self.regs
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self._saved_config = regs.mem_map_config
-                regs.mem_map_config &= 0x7F
-                return self
-
-            def __exit__(self_inner, *exc):
-                regs.mem_map_config = self._saved_config
-                return False
-
-        return _Ctx()
+        saved = regs.mem_map_config
+        regs.mem_map_config = saved & 0x7F
+        try:
+            yield self
+        finally:
+            regs.mem_map_config = saved

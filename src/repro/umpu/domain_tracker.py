@@ -108,20 +108,22 @@ class DomainTracker:
                                   len(self.call_depths))
 
     def _on_call(self, core, target_byte):
-        jt = self.jump_table()
-        if jt.contains(target_byte):
-            jt.classify(target_byte)  # validates alignment/domain range
-            callee = (target_byte - jt.base) // jt.page_bytes
+        regs = self.regs
+        base = regs.jt_base
+        page_bytes = self.entries_per_domain * self.entry_bytes
+        if base <= target_byte < base + regs.ndomains * page_bytes:
+            # in-table target: validates alignment/domain range
+            callee, _index = self.jump_table().classify(target_byte)
             # sequence the caller's state onto the safe stack; the
             # core's redirected return-address push follows, completing
             # the frame [domain][sb_lo][sb_hi][ret_lo][ret_hi]
-            caller = self.regs.cur_domain
+            caller = regs.cur_domain
             self.unit.push_byte(caller)
-            self.unit.push_byte(self.regs.stack_bound & 0xFF)
-            self.unit.push_byte((self.regs.stack_bound >> 8) & 0xFF)
+            self.unit.push_byte(regs.stack_bound & 0xFF)
+            self.unit.push_byte((regs.stack_bound >> 8) & 0xFF)
             self.call_depths.append(0)
-            self.regs.cur_domain = callee
-            self.regs.stack_bound = core.sp
+            regs.cur_domain = callee
+            regs.stack_bound = core.sp
             self.cross_calls += 1
             self._switched(core, caller, "call",
                            CROSS_DOMAIN_CALL_CYCLES)

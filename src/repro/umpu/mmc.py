@@ -32,8 +32,6 @@ from repro.trace.profiler import CAT_MMC
 #: Cycles the MMC stalls the CPU per memory-map table access.
 MMC_STALL_CYCLES = 1
 
-_CHECKED_KINDS = (AccessKind.DATA_STORE, AccessKind.STACK_PUSH)
-
 #: preallocated verdict for the (hot) passed-check case: the bus only
 #: reads WriteAction fields, so one immutable instance serves every
 #: checked store without a per-transaction allocation
@@ -44,6 +42,9 @@ class MemMapController(BusInterposer):
     """Hardware write checker, configured by :class:`UmpuRegisters`."""
 
     name = "mmc"
+    #: the decoder signals the MMC intercepts: data stores and pushes
+    #: (return-address pushes belong to the safe-stack unit)
+    write_kinds = frozenset({AccessKind.DATA_STORE, AccessKind.STACK_PUSH})
 
     def __init__(self, registers, memory):
         self.regs = registers
@@ -65,52 +66,50 @@ class MemMapController(BusInterposer):
         :meth:`repro.core.memmap.MemMapConfig.translate`.
         """
         regs = self.regs
-        offset = addr - regs.mem_prot_bot
-        block = offset >> regs.block_size_log2
-        if regs.bits_per_entry == 4:
-            byte_index = block >> 1
-            shift = 4 * (block & 1)
-        else:
-            byte_index = block >> 2
-            shift = 2 * (block & 3)
-        return regs.mem_map_base + byte_index, shift
+        block = (addr - regs.mem_prot_bot) >> regs.block_size_log2
+        if regs.multi_domain:   # 4-bit entries, two per byte
+            return regs.mem_map_base + (block >> 1), 4 * (block & 1)
+        return regs.mem_map_base + (block >> 2), 2 * (block & 3)
 
     def permission_at(self, addr):
         """Fetch and split the permission entry covering *addr*."""
         table_addr, shift = self.translate(addr)
         byte = self.memory.read_data(table_addr)
-        mask = (1 << self.regs.bits_per_entry) - 1
-        return (byte >> shift) & mask
-
-    def _owner_of_code(self, code):
-        if self.regs.bits_per_entry == 4:
-            return (code >> 1) & 0x7
-        return TRUSTED_DOMAIN if code & 0b10 else 0
+        return (byte >> shift) & ((1 << self.regs.bits_per_entry) - 1)
 
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):
         regs = self.regs
-        if not regs.enabled or kind not in _CHECKED_KINDS:
+        if not regs.enabled:
             return None
         domain = regs.cur_domain
         if domain == TRUSTED_DOMAIN:
             return None
-        self._wave("intercept", addr=addr, domain=domain)
+        wave = self.waveform is not None
+        if wave:
+            self._wave("intercept", addr=addr, domain=domain)
         if addr > regs.stack_bound:
             self._fault(bus, addr, domain, "stack_bound")
             raise StackBoundFault(addr, domain, regs.stack_bound)
         if regs.mem_prot_bot <= addr <= regs.mem_prot_top:
             self.checked_stores += 1
+            # translate and fetch the entry in the same cycle
             table_addr, shift = self.translate(addr)
-            byte = self.memory.read_data(table_addr)
-            code = (byte >> shift) & ((1 << regs.bits_per_entry) - 1)
-            owner = self._owner_of_code(code)
-            self._wave("translate", table_addr=table_addr, shift=shift,
-                       code=code, owner=owner)
+            code = self.memory.read_data(table_addr) >> shift
+            if regs.multi_domain:
+                code &= 0xF
+                owner = (code >> 1) & 0x7
+            else:
+                code &= 0x3
+                owner = TRUSTED_DOMAIN if code & 0b10 else 0
+            if wave:
+                self._wave("translate", table_addr=table_addr, shift=shift,
+                           code=code, owner=owner)
             if owner != domain:
                 self._fault(bus, addr, domain, "memmap", owner=owner)
                 raise MemMapFault(addr, domain, owner)
-            self._wave("write_enable", addr=addr)
+            if wave:
+                self._wave("write_enable", addr=addr)
             if bus.trace is not None:
                 bus.trace.emit(bus._now(), TraceEventKind.MMC_STALL,
                                domain=domain, addr=addr,
@@ -126,7 +125,8 @@ class MemMapController(BusInterposer):
         if addr > regs.mem_prot_top:
             # the module's own stack window: the bound comparison above
             # already admitted it; no table access, no stall
-            self._wave("stack_window", addr=addr)
+            if wave:
+                self._wave("stack_window", addr=addr)
             return None
         self._fault(bus, addr, domain, "untrusted_access")
         raise UntrustedAccessFault(addr, domain)

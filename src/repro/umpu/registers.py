@@ -55,29 +55,27 @@ class UmpuRegisters:
 
     # --- config decoding ---------------------------------------------------
     @property
-    def enabled(self):
-        return bool(self.mem_map_config & 0x80)
+    def mem_map_config(self):
+        return self._mem_map_config
 
-    @property
-    def block_size_log2(self):
-        return self.mem_map_config & 0x07
+    @mem_map_config.setter
+    def mem_map_config(self, value):
+        """Latch the register and decode its fields (the hardware's
+        config decoder), so the units read plain attributes:
+        ``enabled``, ``block_size_log2``, ``multi_domain``,
+        ``bits_per_entry`` and ``ndomains`` (domains with jump tables,
+        1..8).  Every write goes through here: I/O stores,
+        :meth:`encode_config`, snapshot restore."""
+        self._mem_map_config = value
+        self.enabled = bool(value & 0x80)
+        self.block_size_log2 = value & 0x07
+        self.multi_domain = bool(value & 0x08)
+        self.bits_per_entry = 4 if self.multi_domain else 2
+        self.ndomains = ((value >> 4) & 0x07) + 1
 
     @property
     def block_size(self):
         return 1 << self.block_size_log2
-
-    @property
-    def multi_domain(self):
-        return bool(self.mem_map_config & 0x08)
-
-    @property
-    def bits_per_entry(self):
-        return 4 if self.multi_domain else 2
-
-    @property
-    def ndomains(self):
-        """Domains with jump tables (1..8)."""
-        return ((self.mem_map_config >> 4) & 0x07) + 1
 
     def encode_config(self, block_size_log2, multi_domain, ndomains,
                       enabled=True):

@@ -8,14 +8,14 @@ to simply redirect the store of the return addresses to the safe stack"
 — and therefore *saving and restoring return addresses introduces no
 added overhead* (0 cycles in Table 3).
 
-The unit watches the bus for return-address transactions (``RET_PUSH``
+The unit claims the bus's return-address transactions (``RET_PUSH``
 and ``RET_POP``, distinct decoder signals of the ``call``/``ret``
-families), services them from the safe-stack region at
-``safe_stack_ptr`` and marks them handled so they never reach the
-run-time stack.  The run-time stack keeps a 2-byte hole per call frame
-(SP still moves; the *data* goes to the safe stack), which keeps the CPU
-core's SP datapath untouched — the extensions stay outside the core,
-"minimal low-cost architectural extensions".
+families; the bus routes it no others), services them from the
+safe-stack region at ``safe_stack_ptr`` and marks them handled so they
+never reach the run-time stack.  The run-time stack keeps a 2-byte hole
+per call frame (SP still moves; the *data* goes to the safe stack),
+which keeps the CPU core's SP datapath untouched — the extensions stay
+outside the core, "minimal low-cost architectural extensions".
 
 Overflow: the safe stack grows up toward the run-time stack; the unit
 raises :class:`SafeStackOverflow` when ``safe_stack_ptr`` would collide
@@ -36,6 +36,9 @@ class SafeStackUnit(BusInterposer):
     """Redirects return-address pushes/pops to the safe stack region."""
 
     name = "safe_stack"
+    #: the return-address signals of the call/ret families
+    write_kinds = frozenset({AccessKind.RET_PUSH})
+    read_kinds = frozenset({AccessKind.RET_POP})
 
     def __init__(self, registers, memory):
         self.regs = registers
@@ -73,7 +76,7 @@ class SafeStackUnit(BusInterposer):
 
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):
-        if not self.regs.enabled or kind is not AccessKind.RET_PUSH:
+        if not self.regs.enabled:
             return None
         self.push_byte(value)
         self.redirected_pushes += 1
@@ -88,7 +91,7 @@ class SafeStackUnit(BusInterposer):
         return _HANDLED_VERDICT
 
     def on_read(self, bus, addr, kind):
-        if not self.regs.enabled or kind is not AccessKind.RET_POP:
+        if not self.regs.enabled:
             return None
         value = self.pop_byte()
         self.redirected_pops += 1

@@ -390,3 +390,134 @@ def test_flash_rewrite_rebinds_handler_on_fast_path():
     m.run(max_cycles=200)
     assert m.core.halted
     assert m.core.reg(19) == 42
+
+
+# ---------------------------------------------------------------------
+# observers on a UMPU node: the watch unit rides the bus routes
+# ---------------------------------------------------------------------
+PIPELINE_CONSUMER = """
+.equ FREE = {FREE}
+consume:
+    push r16
+    push r17
+    movw r16, r24
+    movw r26, r24
+    ldi r18, 0x7E
+    st X, r18
+    movw r24, r16
+    call FREE
+    pop r17
+    pop r16
+    ret
+"""
+
+PIPELINE_PRODUCER = """
+.equ MALLOC = {MALLOC}
+.equ CHANGE_OWN = {CHANGE_OWN}
+.equ CONSUME = {CONSUME}
+produce:
+    push r16
+    ldi r24, 12
+    ldi r25, 0
+    call MALLOC
+    cp r24, r1
+    cpc r25, r1
+    breq p_done
+    movw r16, r24
+    movw r26, r24
+    ldi r18, 8
+p_fill:
+    st X+, r18
+    dec r18
+    brne p_fill
+    movw r24, r16
+    ldi r22, {CONSUMER_DOM}
+    call CHANGE_OWN
+    movw r24, r16
+    call CONSUME
+p_done:
+    pop r16
+    ret
+"""
+
+
+def _pipeline_node():
+    """The producer -> consumer pipeline on a UMPU node."""
+    from repro.umpu import UmpuSystem
+    system = UmpuSystem()
+    syms = system.kernel_symbols()
+    consumer = system.load_module(
+        assemble(PIPELINE_CONSUMER.format(FREE=syms["KERNEL_FREE"]),
+                 "consumer"), "consumer", exports=("consume",))
+    system.load_module(
+        assemble(PIPELINE_PRODUCER.format(
+            MALLOC=syms["KERNEL_MALLOC"],
+            CHANGE_OWN=syms["KERNEL_CHANGE_OWN"],
+            CONSUME=consumer.exports["consume"],
+            CONSUMER_DOM=consumer.domain), "producer"),
+        "producer", exports=("produce",))
+    return system
+
+
+def _node_state(system):
+    machine = system.machine
+    return (machine.core.cycles, machine.core.instret, machine.core.pc,
+            bytes(machine.memory.data), machine.regs.dump(),
+            machine.safe_stack_unit.redirected_pushes,
+            machine.safe_stack_unit.redirected_pops,
+            machine.mmc.checked_stores, machine.tracker.cross_calls)
+
+
+def _routes(bus):
+    return [route for routes in (bus._write_routes, bus._read_routes)
+            for route in routes.values()]
+
+
+def test_watch_unit_rides_umpu_routes_without_perturbing():
+    """A debugger watchpoint on a UMPU node running the pipeline —
+    attached, across a timeline suspension, detached — leaves every op
+    cycle- and state-identical to a bare node.  While attached the
+    watch unit leads every route; suspended or detached it is in
+    none."""
+    bare = _pipeline_node()
+    node = _pipeline_node()
+    timeline = node.attach_timeline(interval=200)
+    bus = node.machine.bus
+    debugger = None
+    watch = None
+
+    def op(system):
+        return system.call_export("producer", "produce",
+                                  max_cycles=100000)
+
+    for step in range(6):
+        if step == 1:
+            debugger = node.machine.attach_debugger()
+            layout = node.layout
+            watch = debugger.watch(layout.heap_start, layout.heap_end - 1,
+                                   on_read=True)
+            unit = debugger.watch_unit
+            assert all(route and route[0].__self__ is unit
+                       for route in _routes(bus))
+        if step == 3:
+            with timeline._suspended():
+                assert all(hook.__self__ is not unit
+                           for route in _routes(bus) for hook in route)
+                hits = len(watch.hits)
+                assert op(node) == op(bare)
+                assert len(watch.hits) == hits
+            assert all(route[0].__self__ is unit
+                       for route in _routes(bus))
+            assert _node_state(node) == _node_state(bare)
+            continue
+        if step == 4:
+            debugger.detach()
+            assert unit not in bus.interposers
+            assert all(hook.__self__ is not unit
+                       for route in _routes(bus) for hook in route)
+            hits = len(watch.hits)
+        assert op(node) == op(bare)
+        assert _node_state(node) == _node_state(bare)
+    assert watch.hits, "the pipeline must touch the watched heap window"
+    assert len(watch.hits) == hits
+    assert [u.name for u in bus.interposers] == ["safe_stack", "mmc"]

@@ -193,6 +193,32 @@ def test_mmc_stall_is_exactly_one_cycle(machine):
     assert protected - baseline == 1
 
 
+def test_nested_protection_disabled_restores_outer_state(machine):
+    config = machine.regs.mem_map_config
+    assert machine.regs.enabled
+    with machine.protection_disabled():
+        with machine.protection_disabled():
+            assert not machine.regs.enabled
+        assert not machine.regs.enabled
+    assert machine.regs.mem_map_config == config
+    assert machine.regs.enabled
+
+
+def test_protection_disabled_restores_after_exception(machine):
+    config = machine.regs.mem_map_config
+    with pytest.raises(RuntimeError):
+        with machine.protection_disabled():
+            raise RuntimeError("load failed")
+    assert machine.regs.mem_map_config == config
+    assert machine.regs.enabled
+    # a foreign store passes inside the block and faults again after it
+    machine.enter_domain(0)
+    with machine.protection_disabled():
+        machine.call("store_own", 0x0500, ("u8", 1))
+    with pytest.raises(MemMapFault):
+        machine.call("store_own", 0x0500, ("u8", 1))
+
+
 def test_safe_stack_holds_return_addresses(machine):
     """Return addresses live in the safe-stack region, not at SP."""
     machine.enter_trusted()

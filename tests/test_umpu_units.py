@@ -20,7 +20,8 @@ from repro.core.faults import (
 )
 from repro.core.memmap import MemMapConfig, MemoryBackedStorage, MemoryMap
 from repro.isa.registers import IoReg
-from repro.sim import AccessKind, DataBus, Memory
+from repro.sim import AccessKind, BusInterposer, DataBus, Memory
+from repro.trace.events import TraceSink
 from repro.umpu import (
     MMC_STALL_CYCLES,
     MemMapController,
@@ -75,6 +76,26 @@ def test_register_writes_trusted_only():
         regs.io_write(IoReg.MEM_MAP_BASE_L + 0x20, 1)
     # reads are always allowed (the library reads the status register)
     assert regs.io_read(IoReg.CUR_DOMAIN + 0x20) == 2
+
+
+def test_register_config_fields_follow_every_write():
+    """The decoded fields are latched on every config write: the I/O
+    window, encode_config and a plain (snapshot-restore) assignment."""
+    mem = Memory()
+    regs = UmpuRegisters().attach(mem)
+    assert (regs.enabled, regs.ndomains, regs.bits_per_entry) \
+        == (False, 1, 2)
+    regs.io_write(IoReg.MEM_MAP_CONFIG + 0x20, 0x80 | 0x38 | 0x08 | 0x02)
+    assert regs.mem_map_config == 0xBA
+    assert (regs.enabled, regs.block_size_log2, regs.multi_domain,
+            regs.bits_per_entry, regs.ndomains) == (True, 2, True, 4, 4)
+    assert regs.io_read(IoReg.UMPU_CTRL + 0x20) == 0xBA
+    regs.io_write(IoReg.UMPU_CTRL + 0x20, 0x31)   # alias of the config
+    assert (regs.enabled, regs.block_size_log2, regs.multi_domain,
+            regs.ndomains) == (False, 1, False, 4)
+    regs.mem_map_config = 0xFF
+    assert (regs.enabled, regs.block_size, regs.bits_per_entry,
+            regs.ndomains) == (True, 128, 4, 8)
 
 
 def test_register_dump_covers_table2():
@@ -177,6 +198,19 @@ def test_mmc_waveform_phases():
     bus.write(0x400, 9, AccessKind.DATA_STORE)
     phases = [w["phase"] for w in wave]
     assert phases == ["intercept", "translate", "write_enable"]
+
+
+@pytest.mark.parametrize("mode", ["multi", "two"])
+def test_mmc_permission_at_reads_the_memmap_entry(mode):
+    mmc, _memmap, _bus, mem, regs = make_mmc()
+    regs.encode_config(3, mode == "multi", 8)
+    memmap = MemoryMap(MemMapConfig(0x200, 0xCFF, 8, mode),
+                       MemoryBackedStorage(mem, 0x100))
+    owner = 5 if mode == "multi" else 0
+    memmap.set_segment(0x318, 24, owner)
+    for addr in (0x300, 0x317, 0x318, 0x32F, 0x330, 0xCFF):
+        assert mmc.permission_at(addr) == memmap.get_code(
+            memmap.config.block_of(addr))
 
 
 @settings(max_examples=300, deadline=None)
@@ -364,3 +398,144 @@ def test_tracker_disabled():
     core = FakeCore()
     assert tracker.on_event(core, "call", target=0x1000 // 2, ret=0) == 0
     assert regs.cur_domain == TRUSTED_DOMAIN
+
+
+@pytest.mark.parametrize("ndomains", [1, 2, 8])
+def test_tracker_table_bounds_match_jump_table_geometry(ndomains):
+    """The tracker's direct base/end comparison classifies every target
+    around the table edges exactly as JumpTable.contains does."""
+    tracker, regs, _mem = make_tracker()
+    regs.encode_config(3, True, ndomains)
+    jt = tracker.jump_table()
+    for target in (0, jt.base - 4, jt.base - 2, jt.base, jt.base + 2,
+                   jt.end - 4, jt.end - 2, jt.end, jt.end + 4):
+        tracker, regs, _mem = make_tracker()
+        regs.encode_config(3, True, ndomains)
+        core = FakeCore()
+        try:
+            extra = tracker.on_event(core, "call", target=target // 2,
+                                     ret=0)
+        except JumpTableFault:
+            assert jt.contains(target) and target % 4
+            continue
+        if jt.contains(target):
+            assert extra == 5 and tracker.nesting == 1
+            assert regs.cur_domain == (target - jt.base) // jt.page_bytes
+        else:
+            assert extra == 0 and tracker.nesting == 0
+            assert regs.cur_domain == TRUSTED_DOMAIN
+
+
+# ---------------------------------------------------------------------
+# kind routing: routed units vs the old kind filter in every unit
+# ---------------------------------------------------------------------
+#: the per-call kind tests the units made before the bus routed by kind
+#: (write kinds, read kinds); the MMC never handled reads
+_OLD_KIND_FILTERS = {
+    "safe_stack": ({AccessKind.RET_PUSH}, {AccessKind.RET_POP}),
+    "mmc": ({AccessKind.DATA_STORE, AccessKind.STACK_PUSH}, set()),
+}
+
+
+class Unrouted(BusInterposer):
+    """Reference wrapper: claims every kind and re-applies the wrapped
+    unit's old kind filter itself, as the flat chain used to."""
+
+    def __init__(self, unit):
+        self.unit = unit
+        self.writes, self.reads = _OLD_KIND_FILTERS[unit.name]
+
+    def on_write(self, bus, addr, value, kind):
+        if kind not in self.writes:
+            return None
+        return self.unit.on_write(bus, addr, value, kind)
+
+    def on_read(self, bus, addr, kind):
+        if kind not in self.reads:
+            return None
+        return self.unit.on_read(bus, addr, kind)
+
+
+#: one address per class: below prot_bot (the table itself), owned and
+#: foreign blocks in the table-checked range, the stack window above
+#: prot_top, above stack_bound, and an I/O register
+_ADDRESS_CLASSES = (0x1F0, 0x300, 0x400, 0xD80, 0xF00,
+                    IoReg.MEM_PROT_BOT_L + 0x20)
+
+
+def _make_node(routed, enabled, domain, traced):
+    mem = Memory()
+    regs = UmpuRegisters().attach(mem)
+    regs.mem_map_base = 0x100
+    regs.mem_prot_bot = 0x200
+    regs.mem_prot_top = 0xCFF
+    regs.stack_bound = 0xE00
+    regs.safe_stack_ptr = 0xD00
+    regs.encode_config(3, True, 8, enabled=enabled)
+    memmap = MemoryMap(MemMapConfig(0x200, 0xCFF, 8, "multi"),
+                       MemoryBackedStorage(mem, 0x100))
+    memmap.set_segment(0x300, 64, 2)
+    memmap.set_segment(0x400, 64, 1)
+    regs.cur_domain = domain
+    mem.sp = 0xFF0
+    safe_stack = SafeStackUnit(regs, mem)
+    safe_stack.floor = 0xD00
+    mmc = MemMapController(regs, mem)
+    bus = DataBus(mem)
+    for unit in (safe_stack, mmc):
+        bus.add_interposer(unit if routed else Unrouted(unit))
+    if traced:
+        bus.trace = TraceSink()
+    return bus, mem, regs, safe_stack, mmc
+
+
+def _transact(bus, kind, addr, value):
+    """(verdict, stall cycles) of one transaction, or the fault type."""
+    try:
+        if kind.is_write:
+            return "ok", None, bus.write(addr, value, kind)
+        return ("ok",) + tuple(bus.read(addr, kind))
+    except ProtectionFault as exc:
+        return "fault", type(exc), None
+
+
+def _node_state(bus, mem, regs, safe_stack, mmc):
+    return (bytes(mem.data), regs.safe_stack_ptr, regs.cur_domain,
+            safe_stack.redirected_pushes, safe_stack.redirected_pops,
+            safe_stack.high_water, mmc.checked_stores, mmc.faults,
+            bus.trace.events if bus.trace is not None else None)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("domain", [2, TRUSTED_DOMAIN])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_routed_units_match_unrouted_chain(enabled, domain, traced):
+    """Every access kind at every address class: routing the safe-stack
+    unit and the MMC by their declared kinds gives the same verdicts,
+    stalls, memory, safe-stack pointer, counters, faults and trace as
+    the unrouted chain that filters inside each unit."""
+    routed = _make_node(True, enabled, domain, traced)
+    reference = _make_node(False, enabled, domain, traced)
+    assert routed[0]._write_routes[AccessKind.IO_WRITE] == ()
+    assert reference[0]._write_routes[AccessKind.IO_WRITE] != ()
+    outcomes = set()
+    step = 0
+    for addr in _ADDRESS_CLASSES:
+        for kind in AccessKind:
+            step += 1
+            value = (step * 37) & 0xFF
+            got = _transact(routed[0], kind, addr, value)
+            want = _transact(reference[0], kind, addr, value)
+            assert got == want, (kind, hex(addr))
+            assert _node_state(*routed) == _node_state(*reference), \
+                (kind, hex(addr))
+            outcomes.add(got[:2] if got[0] == "fault" else got[2:])
+    # the sweep exercised stalls, redirects and faults, not just
+    # pass-throughs
+    if enabled and domain != TRUSTED_DOMAIN:
+        assert ("fault", MemMapFault) in outcomes
+        assert ("fault", StackBoundFault) in outcomes
+        assert ("fault", UntrustedAccessFault) in outcomes
+        assert (MMC_STALL_CYCLES,) in outcomes
+    if enabled:
+        assert routed[3].redirected_pushes == len(_ADDRESS_CLASSES)
